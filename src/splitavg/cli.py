@@ -110,7 +110,14 @@ def _write_csv(path: str, config: dict, header: list[str], rows: list) -> None:
 def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
-    return int(os.environ.get("SPLITAVG_THREADS", "1"))
+    text = os.environ.get("SPLITAVG_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise UsageError(f"SPLITAVG_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +146,11 @@ def _run_ratio_sweep(args) -> int:
 
 
 def _gammas_for(args, theta0):
+    # the theory uses the variance of the noise the simulation draws
+    variance = _noise(args).variance
     if args.model == "ols":
-        return ols_gammas(None, args.sigma2, args.p)
-    return ridge_gammas(theta0, args.sigma2, args.penalty)
+        return ols_gammas(None, variance, args.p)
+    return ridge_gammas(theta0, variance, args.penalty)
 
 
 def _run_bias_mse(args) -> int:

@@ -262,7 +262,9 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
     The prox derivative is an indicator, so the expectations are computed
     against the exact distribution of the compound noise: closed forms for
     gaussian, Laplace panels composed with closed-form normal pieces
-    otherwise.
+    otherwise.  Returns the residuals and their analytic Jacobian in (c, rho),
+    built from d/dc E[min(X^2, c^2)] = 2c P(|X| > c) and, for X with a normal
+    part of variance rho, d/drho E[h(X)] = E[h''(X)] / 2.
     """
     if noise.variance == 0:
         raise ConfigError("absolute-loss equations need noise with positive variance")
@@ -273,41 +275,83 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
             s = math.sqrt(sig2 + rho)
             u = c / s
             e_dprox = 2.0 * (1.0 - ndtr(u))
-            e_min = s * s * ((2.0 * ndtr(u) - 1.0) - 2.0 * u * _phi(u)) + c * c * e_dprox
-            return np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
+            e_inside = (2.0 * ndtr(u) - 1.0) - 2.0 * u * _phi(u)
+            e_min = s * s * e_inside + c * c * e_dprox
+            f = np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
+            jac = np.array([[-2.0 * _phi(u) / s, u * _phi(u) / (s * s)],
+                            [2.0 * c * e_dprox, e_inside - kappa]])
+            return f, jac
 
         return residuals
 
-    te, we = _laplace_panels(noise.param, q.laplace_truncation, q.nodes)
+    b = noise.param
+    te, we = _laplace_panels(b, q.laplace_truncation, q.nodes)
 
     def residuals(c, rho, kappa):
         r = math.sqrt(rho) if rho > 0 else 0.0
         if r < 1e-13:
             e_dprox = float(we @ (np.abs(te) > c))
             e_min = float(we @ np.minimum(te * te, c * c))
+            # r -> 0 limits, from the Laplace density p_c at +-c
+            p_c = math.exp(-c / b) / (2.0 * b)
+            d_dprox = [-2.0 * p_c, p_c / b]
+            d_min_rho = 1.0 - e_dprox - 2.0 * c * p_c
         else:
-            inside = ndtr((c - te) / r) - ndtr((-c - te) / r)
+            a_hi, a_lo = (c - te) / r, (-c - te) / r
+            phi_hi, phi_lo = _phi(a_hi), _phi(a_lo)
+            inside = ndtr(a_hi) - ndtr(a_lo)
             e_dprox = float(we @ (1.0 - inside))
             e_min = float(we @ _gaussian_min_sq(te, r, c))
-        return np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
+            d_dprox = [-float(we @ (phi_hi + phi_lo)) / r,
+                       float(we @ (a_hi * phi_hi - a_lo * phi_lo)) / (2.0 * rho)]
+            d_min_rho = float(we @ (inside - c * (phi_hi + phi_lo) / r))
+        f = np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
+        jac = np.array([d_dprox, [2.0 * c * e_dprox, d_min_rho - kappa]])
+        return f, jac
 
     return residuals
 
 
 def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
+    """Residuals and their analytic Jacobian in (c, rho) from one prox evaluation.
+
+    With x = prox_c(z) and D = dprox/dz = 1 / (1 + c f''(x)), implicit
+    differentiation gives dx/dc = -f'(x) D and dD/dz = -c f'''(x) D^3.  The
+    rho column differentiates the quadrature sum itself,
+    E[h'(z) eta] / (2 sqrt(rho)); at rho = 0 (one axis) it is Stein's lemma,
+    E[h''(eps)] / 2.
+    """
     te, we = _eps_axis(noise, q)
     th, wh = _eta_axis(q)
+    wh_eta = wh * th
 
     def residuals(c, rho, kappa):
         if rho > 0:
-            z = (te[:, None] + math.sqrt(rho) * th[None, :]).ravel()
-            w = np.outer(we, wh).ravel()
+            z = te[:, None] + math.sqrt(rho) * th[None, :]
+            mean = lambda a: float(we @ a @ wh)
         else:
-            z, w = te, we
+            z = te
+            mean = lambda a: float(we @ a)
         prox, dprox = prox_array(loss, c, z)
-        e_dprox = float(w @ dprox)
-        e_gap = float(w @ (z - prox) ** 2)
-        return np.array([e_dprox - (1.0 - kappa), e_gap - kappa * rho])
+        gap = z - prox
+        del z  # the node arrays are large; keep few of them alive at once
+        f = np.array([mean(dprox) - (1.0 - kappa), mean(gap * gap) - kappa * rho])
+        f1 = derivative_array(loss, prox, 1)
+        d_dprox_dz = -c * derivative_array(loss, prox, 3) * dprox ** 3
+        # d/dc of D and of gap^2 = (z - x)^2, through dx/dc = -f' D
+        d_c = (-mean(dprox * dprox * derivative_array(loss, prox, 2)) - mean(f1 * d_dprox_dz),
+               2.0 * mean(gap * f1 * dprox))
+        del f1
+        if rho > 0:
+            half = 0.5 / math.sqrt(rho)
+            d_rho = (half * float(we @ d_dprox_dz @ wh_eta),
+                     half * float(we @ (2.0 * gap * (1.0 - dprox)) @ wh_eta))
+        else:
+            d_rho = (mean(1.5 * d_dprox_dz ** 2 / dprox
+                          - 0.5 * c * derivative_array(loss, prox, 4) * dprox ** 4),
+                     mean((1.0 - dprox) ** 2 - gap * d_dprox_dz))
+        jac = np.array([[d_c[0], d_rho[0]], [d_c[1], d_rho[1] - kappa]])
+        return f, jac
 
     return residuals
 
@@ -338,7 +382,8 @@ def solve_rc(
 
     Working in r^2 avoids the square-root singularity at kappa -> 0.  The
     iteration starts from the small-kappa series and stops when the residual
-    norm is <= tol.
+    norm is <= tol.  Every residual evaluation also returns the analytic
+    Jacobian, so a Newton step costs one prox evaluation.
     """
     if not 0.0 < kappa < 1.0:
         raise ConfigError("kappa must be in (0, 1)")
@@ -346,19 +391,13 @@ def solve_rc(
     fn = (_smooth_residual_fn if loss.is_smooth else _absolute_residual_fn)(
         *((loss, noise, q) if loss.is_smooth else (noise, q)))
     x = np.array(_series_init(loss, noise, kappa, q), dtype=float)
-    f = fn(x[0], x[1], kappa)
+    f, jac = fn(x[0], x[1], kappa)
     trace = [float(np.linalg.norm(f))]
     for _ in range(max_iter):
         norm = float(np.linalg.norm(f))
         if norm <= tol:
             return RcSolution(kappa, float(x[0]), math.sqrt(max(x[1], 0.0)),
                               (float(f[0]), float(f[1])))
-        jac = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(abs(x[j]), 1e-9)
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (fn(xp[0], xp[1], kappa) - f) / h
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -367,14 +406,14 @@ def solve_rc(
         for _ in range(60):
             cand = x + lam * step
             if cand[0] > 0 and cand[1] >= 0:
-                f_cand = fn(cand[0], cand[1], kappa)
+                f_cand, jac_cand = fn(cand[0], cand[1], kappa)
                 if np.linalg.norm(f_cand) < norm:
                     break
             lam *= 0.5
         else:
             raise SolverFailureError(
                 f"no descent step found at residual {norm:.3e}", trace)
-        x, f = cand, f_cand
+        x, f, jac = cand, f_cand, jac_cand
         trace.append(float(np.linalg.norm(f)))
     raise SolverFailureError(
         f"no convergence in {max_iter} iterations (kappa={kappa})", trace)

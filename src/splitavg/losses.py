@@ -145,6 +145,17 @@ def loss_derivative(spec: LossSpec, t: float, order: int) -> float:
     return float(derivative_array(spec, np.asarray([t]), order)[0])
 
 
+def _at_round_off(x, g):
+    return np.abs(g) <= _PROX_TOL * (1.0 + np.abs(x))
+
+
+def _shrink_bracket(x, g, lo, hi):
+    """Bracket of the root of g after g(x) is known, given g' >= 1."""
+    below = g < 0
+    return (np.where(below, x, np.maximum(lo, x - g)),
+            np.where(below, np.minimum(hi, x - g), x))
+
+
 def prox_array(spec: LossSpec, c: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized proximal operator argmin_x {f(x) + (x-z)^2 / (2c)} and d(prox)/dz.
 
@@ -161,36 +172,42 @@ def prox_array(spec: LossSpec, c: float, z: np.ndarray) -> tuple[np.ndarray, np.
         return prox, (np.abs(z) > c).astype(float)
 
     # Smooth losses have |f_[1]| bounded by b, so the root lies in z -+ c*b.
-    # Safeguarded Newton on the monotone g(x) = x - z + c f_[1](x): a Newton
-    # candidate is accepted only when it stays inside the bracket and shrinks
-    # |g| (far from the root the saturating f_[1] can make raw Newton cycle);
-    # otherwise the step bisects, so the bracket width always halves.
+    # Safeguarded Newton on the monotone g(x) = x - z + c f_[1](x).  Since
+    # g' >= 1, |x - x*| <= |g(x)|: every evaluation puts x on one side of the
+    # bracket and x - g(x) on the other, and a node is done once |g| is at
+    # round-off level, _PROX_TOL (1 + |x|), or once a step stops moving it.
+    # A Newton candidate is accepted when it stays inside the bracket and
+    # either shrinks |g| or lands at round-off level (there the shrink test is
+    # a coin flip); otherwise the step bisects (far from the root the
+    # saturating f_[1] can make raw Newton cycle).
     bound = c * (spec.delta if spec.kind == "pseudo_huber" else 1.0)
     lo = z - bound - 1e-9
     hi = z + bound + 1e-9
     x = np.clip(z - c * derivative_array(spec, z, 1)
                 / (1.0 + c * derivative_array(spec, z, 2)), lo, hi)
     g = x - z + c * derivative_array(spec, x, 1)
-    done = np.zeros(x.shape, dtype=bool)
+    lo, hi = _shrink_bracket(x, g, lo, hi)
+    done = _at_round_off(x, g)
     for _ in range(_PROX_MAX_ITER):
+        if np.all(done):
+            break
         gp = 1.0 + c * derivative_array(spec, x, 2)
         newton = x - g / gp
         mid = 0.5 * (lo + hi)
         cand = np.where((newton < lo) | (newton > hi), mid, newton)
         g_cand = cand - z + c * derivative_array(spec, cand, 1)
-        retry = ~done & (np.abs(g_cand) >= np.abs(g))
+        converged = _at_round_off(cand, g_cand)
+        retry = ~done & ~converged & (np.abs(g_cand) >= np.abs(g))
         if np.any(retry):
             cand = np.where(retry, mid, cand)
             g_cand = cand - z + c * derivative_array(spec, cand, 1)
+            converged = _at_round_off(cand, g_cand)
         cand = np.where(done, x, cand)
         g_cand = np.where(done, g, g_cand)
-        lo = np.where(g_cand < 0, cand, lo)
-        hi = np.where(g_cand >= 0, cand, hi)
-        done = done | (np.abs(cand - x) <= _PROX_TOL * (1.0 + np.abs(cand)))
+        lo, hi = _shrink_bracket(cand, g_cand, lo, hi)
+        done = done | converged | _at_round_off(cand, cand - x)
         x, g = cand, g_cand
-        if np.all(done):
-            break
-    else:
+    if not np.all(done):
         raise ProxFailureError(
             f"prox Newton did not converge in {_PROX_MAX_ITER} iterations for {spec.kind}"
         )

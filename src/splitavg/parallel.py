@@ -143,6 +143,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
     return [run_replication(cfg, r) for r in reps]
 
 
+def _error_ratio(err_bar: float, err_central: float) -> float:
+    """err_bar / err_central, with 0/0 = 1 (both exact) and x/0 = inf."""
+    if err_central == 0.0:
+        return 1.0 if err_bar == 0.0 else float("inf")
+    return err_bar / err_central
+
+
 def summarize(results) -> Summary:
     """Median/MAD of the error ratios plus bias and MSE summaries with MC SEs.
 
@@ -153,12 +160,16 @@ def summarize(results) -> Summary:
     if len(results) < 2:
         raise ConfigError("summarize needs >= 2 replications")
     reps = len(results)
-    ratios = np.array([r.err_bar / r.err_central for r in results])
+    ratios = np.array([_error_ratio(r.err_bar, r.err_central) for r in results])
     err_bar_sq = np.array([r.err_bar ** 2 for r in results])
     err_central_sq = np.array([r.err_central ** 2 for r in results])
     bias = np.array([r.per_coordinate_bias_sample for r in results])
     med = float(np.median(ratios))
-    mad = float(np.median(np.abs(ratios - med)))
+    # ratios equal to the median deviate by 0, also when both are inf
+    dev = np.zeros_like(ratios)
+    off = ratios != med
+    dev[off] = np.abs(ratios[off] - med)
+    mad = float(np.median(dev))
     # sigma_hat = 1.4826 MAD; SE(median) ~ 1.2533 sigma_hat / sqrt(reps)
     med_se = 1.2533 * 1.4826 * mad / np.sqrt(reps)
     return Summary(

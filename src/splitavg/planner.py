@@ -95,12 +95,6 @@ def predicted_error(prob: PlannerProblem, m: float) -> float:
     return sol.r_squared * reg.tr_sigma_inv / (m * reg.p)
 
 
-def _bound(prob: PlannerProblem) -> float:
-    if prob.constraint == "absolute":
-        return prob.eps
-    return (1.0 + prob.eps) * predicted_error(prob, 1.0)
-
-
 def _max_feasible_m(prob: PlannerProblem) -> float:
     """Largest m the regime itself allows (domain limit, not the error bound)."""
     if prob.mode == "fixed_n":
@@ -120,8 +114,17 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
     this module is checked against; the boundary itself is available to
     callers via predicted_error.
     """
-    bound = _bound(prob)
-    e1 = predicted_error(prob, 1.0)
+    probed: dict[float, float] = {}
+
+    def error(m: float) -> float:
+        # Each machine count is predicted at most once per call; brentq
+        # re-evaluates its bracket ends and the answer is often a probe.
+        if m not in probed:
+            probed[m] = predicted_error(prob, m)
+        return probed[m]
+
+    e1 = error(1.0)
+    bound = prob.eps if prob.constraint == "absolute" else (1.0 + prob.eps) * e1
     minimizing = prob.mode == "fixed_n"
 
     if minimizing:
@@ -129,15 +132,14 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
             return PlannerResult(1, e1, False)
         # error falls like 1/m with n fixed; bracket then root-find
         lo, hi = 1.0, 2.0
-        while predicted_error(prob, hi) > bound:
+        while error(hi) > bound:
             lo, hi = hi, hi * 2.0
             if hi > 1e12:
                 raise InfeasiblePlanError("error bound unreachable at any m",
                                           error_at_one=e1)
-        m_star = brentq(lambda m: predicted_error(prob, m) - bound, lo, hi,
-                        xtol=1e-9, rtol=1e-14)
+        m_star = brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
         m = max(1, math.floor(m_star + 0.5))
-        return PlannerResult(m, predicted_error(prob, m), True)
+        return PlannerResult(m, error(m), True)
 
     # fixed_N: error grows with m (second-order and high-dim regimes)
     if e1 > bound:
@@ -146,12 +148,11 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
             error_at_one=e1)
     m_cap = _max_feasible_m(prob)
     lo, hi = 1.0, min(2.0, m_cap)
-    while hi < m_cap and predicted_error(prob, hi) <= bound:
+    while hi < m_cap and error(hi) <= bound:
         lo, hi = hi, min(hi * 2.0, m_cap)
-    if predicted_error(prob, hi) <= bound:
+    if error(hi) <= bound:
         m = int(math.floor(hi))
-        return PlannerResult(m, predicted_error(prob, m), False)
-    m_star = brentq(lambda m: predicted_error(prob, m) - bound, lo, hi,
-                    xtol=1e-9, rtol=1e-14)
+        return PlannerResult(m, error(m), False)
+    m_star = brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
     m = max(1, math.floor(m_star + 0.5))
-    return PlannerResult(m, predicted_error(prob, m), True)
+    return PlannerResult(m, error(m), True)

@@ -162,3 +162,42 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
                  "--sigma2", "1", "--seed", "1", "--out", str(out)])
     assert code == 2
     assert "failure" in capsys.readouterr().err
+
+
+def test_bias_mse_theory_uses_laplace_variance(tmp_path):
+    # Laplace(b = 2) has variance 2 b^2 = 8: the theory column must equal the
+    # one for gaussian noise of variance 8, whatever --sigma2 says
+    base = ["bias-mse", "--model", "ols", "--p", "3", "--N", "600", "--m-grid", "3",
+            "--reps", "4"]
+    lap, gauss = tmp_path / "lap.csv", tmp_path / "gauss.csv"
+    assert main(base + ["--noise", "laplace", "--laplace-scale", "2",
+                        "--out", str(lap)]) == 0
+    assert main(base + ["--sigma2", "8", "--out", str(gauss)]) == 0
+    theory_lap = {float(r[6]) for r in read_csv(lap)[2]}
+    theory_gauss = {float(r[6]) for r in read_csv(gauss)[2]}
+    assert theory_lap == theory_gauss
+    (value,) = theory_lap
+    assert value == pytest.approx(8.0 * 3 / 600, rel=0.05)  # sigma^2 p / N
+
+
+def test_plan_fixed_p_uses_laplace_variance(tmp_path):
+    base = ["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "100",
+            "--total-eps", "2e-3"]
+    lap, gauss = tmp_path / "lap.csv", tmp_path / "gauss.csv"
+    # Laplace(b) with 2 b^2 = 10 against the reference gaussian sigma^2 = 10
+    assert main(base + ["--noise", "laplace", "--laplace-scale", str(5 ** 0.5),
+                        "--out", str(lap)]) == 0
+    assert main(base + ["--sigma2", "10", "--out", str(gauss)]) == 0
+    row_lap, row_gauss = read_csv(lap)[2][0], read_csv(gauss)[2][0]
+    assert row_lap[2] == row_gauss[2] == "51"
+    assert float(row_lap[3]) == pytest.approx(float(row_gauss[3]), rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_bad_thread_env_exits_one(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("SPLITAVG_THREADS", value)
+    out = tmp_path / "o.csv"
+    code = main(["ratio-sweep", "--p", "3", "--m", "2", "--n-grid", "60",
+                 "--reps", "2", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

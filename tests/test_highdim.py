@@ -17,6 +17,7 @@ from splitavg import (
     perturb_coeffs,
     solve_rc,
 )
+from splitavg.highdim import _absolute_residual_fn, _smooth_residual_fn
 
 GAUSS1 = NoiseDist.gaussian(1.0)
 
@@ -244,3 +245,79 @@ def test_mse_ratio_exact_close_to_first_order_at_small_kappa():
     exact = mse_ratio_exact(LossSpec.squared(), GAUSS1, 0.1, 10)
     first = mse_ratio_first_order(0.1, 10, perturb_coeffs(LossSpec.squared(), GAUSS1))
     assert abs(exact - first) <= 0.02
+
+
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(3.0),
+                                  LossSpec.absolute()], ids=lambda s: s.kind)
+@pytest.mark.parametrize("noise", [GAUSS1, NoiseDist.laplace(2 ** -0.5)],
+                         ids=["gauss1", "laplace-var1"])
+def test_residual_jacobian_matches_central_differences(loss, noise):
+    q = QuadratureSpec()
+    fn = (_smooth_residual_fn(loss, noise, q) if loss.is_smooth
+          else _absolute_residual_fn(noise, q))
+    for c, rho, kappa in ((0.05, 0.04, 0.05), (0.5, 0.4, 0.3), (2.0, 1.5, 0.6)):
+        _, jac = fn(c, rho, kappa)
+        fd = np.empty((2, 2))
+        for j, h in enumerate((1e-5 * c, 1e-5 * rho)):
+            up, down = [c, rho], [c, rho]
+            up[j] += h
+            down[j] -= h
+            fd[:, j] = (fn(*up, kappa)[0] - fn(*down, kappa)[0]) / (2 * h)
+        np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(3.0)],
+                         ids=lambda s: s.kind)
+def test_residual_jacobian_at_rho_zero_uses_stein(loss):
+    # at rho = 0 the residuals live on the noise axis alone; the rho column is
+    # E[h''(eps)] / 2, checked against a one-sided difference into rho > 0
+    for noise in (GAUSS1, NoiseDist.laplace(2 ** -0.5)):
+        fn = _smooth_residual_fn(loss, noise, QuadratureSpec())
+        f0, jac = fn(0.2, 0.0, 0.1)
+        h = 1e-7
+        fd = (fn(0.2, h, 0.1)[0] - f0) / h
+        np.testing.assert_allclose(jac[:, 1], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
+
+# solve_rc(pseudo_huber(3), noise, kappa, tol=1e-13) as (c, r^2), frozen from
+# the finite-difference-Jacobian solver this one replaced
+FROZEN_HUBER_SOLUTIONS = {
+    ("gauss1", 0.005): (0.005723971640892611, 0.005064074409479051),
+    ("gauss1", 0.05): (0.05970855367417515, 0.05300840800926078),
+    ("gauss1", 0.3): (0.4740820613207086, 0.43029602422708657),
+    ("laplace", 0.005): (0.0056238355804157855, 0.004329326782935861),
+    ("laplace", 0.05): (0.05879343507558034, 0.04595857950140339),
+    ("laplace", 0.3): (0.4712618913530869, 0.3991493896122419),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_HUBER_SOLUTIONS), ids=str)
+def test_solve_rc_matches_frozen_pseudo_huber_solutions(key):
+    noise = GAUSS1 if key[0] == "gauss1" else NoiseDist.laplace(2 ** -0.5)
+    c, r2 = FROZEN_HUBER_SOLUTIONS[key]
+    sol = solve_rc(LossSpec.pseudo_huber(3.0), noise, key[1], tol=1e-13)
+    assert sol.c == pytest.approx(c, rel=1e-9)
+    assert sol.r_squared == pytest.approx(r2, rel=1e-9)
+    assert max(abs(r) for r in sol.residuals) <= 1e-13
+
+
+def test_solve_rc_contains_no_finite_differences():
+    # every Newton step reuses the Jacobian of the residual evaluation that
+    # accepted it: one prox call per step, none for differencing
+    import splitavg.highdim as hd
+
+    calls = []
+    real = hd.prox_array
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    hd.prox_array = counting
+    try:
+        sol = solve_rc(LossSpec.pseudo_huber(3.0), GAUSS1, 0.2)
+    finally:
+        hd.prox_array = real
+    assert max(abs(r) for r in sol.residuals) <= 1e-10
+    assert len(calls) <= 6
+    assert len(set(calls)) == len(calls)  # no repeated or nudged evaluations

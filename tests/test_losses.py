@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from splitavg import losses
 from splitavg import (
     ConfigError,
     LossSpec,
@@ -14,6 +15,7 @@ from splitavg import (
     loss_derivative,
     prox_eval,
 )
+from splitavg.losses import prox_array
 
 SMOOTH_SPECS = [
     LossSpec.squared(),
@@ -149,6 +151,30 @@ def test_prox_small_c_expansion_order(spec):
             slope = np.polyfit(np.log(cs), np.log(errs), 1)[0]
             worst_slope = min(worst_slope, slope)
     assert worst_slope >= 2.9
+
+
+@pytest.mark.parametrize("spec", [LossSpec.pseudo_huber(3.0), LossSpec.logistic()],
+                         ids=lambda s: s.kind)
+@pytest.mark.parametrize("c", [1e-3, 0.5, 10.0])
+def test_prox_stops_at_round_off_within_eight_iterations(spec, c, monkeypatch):
+    # Newton iterations are counted through the g' = 1 + c f'' evaluations:
+    # one per iteration, plus one for the start and one for the returned
+    # derivative.
+    real = losses.derivative_array
+    second = []
+
+    def counting(spec_, t, order):
+        if order == 2:
+            second.append(1)
+        return real(spec_, t, order)
+
+    monkeypatch.setattr(losses, "derivative_array", counting)
+    z = np.linspace(-60.0, 60.0, 24001)
+    x, dprox = prox_array(spec, c, z)
+    g = x - z + c * real(spec, x, 1)
+    assert np.all(np.abs(g) <= 1e-12 * (1.0 + np.abs(x)))
+    assert len(second) - 2 <= 8
+    assert np.array_equal(dprox, 1.0 / (1.0 + c * real(spec, x, 2)))
 
 
 def test_prox_rejects_nonpositive_c():

@@ -130,3 +130,28 @@ def test_config_validation():
     cfg = _cfg(reps=3)
     with pytest.raises(ConfigError):
         run_replication(cfg, 3)
+
+
+def test_summarize_noiseless_replications_have_ratio_one():
+    # theta0 = 0 without noise: every fit is exact, err_central = err_bar = 0
+    gen = GenerativeConfig(p=3, theta0=np.zeros(3), noise=NoiseDist.gaussian(0.0))
+    cfg = ExperimentConfig(gen=gen, model=ModelSpec.ols(), N=120, m=3,
+                           replications=3, base_seed=0)
+    s = summarize(run_experiment(cfg))
+    assert s.median_ratio == 1.0
+    assert s.mad_ratio == 0.0
+    assert s.mse_bar == 0.0 and s.mse_central == 0.0
+
+
+def test_summarize_ratio_over_exact_central_fit_is_infinite():
+    def make(err_bar, err_central):
+        return ReplicationResult(np.zeros(2), np.zeros(2), err_bar, err_central,
+                                 np.zeros(2))
+
+    # ratios 1 (0/0), inf (1/0) and 2
+    s = summarize([make(0.0, 0.0), make(1.0, 0.0), make(2.0, 1.0)])
+    assert s.median_ratio == 2.0
+    assert s.mad_ratio == 1.0
+    s = summarize([make(1.0, 0.0), make(1.0, 0.0)])
+    assert s.median_ratio == np.inf
+    assert s.mad_ratio == 0.0

@@ -147,3 +147,26 @@ def test_problem_validation():
     prob = ols_problem("fixed_n", 100, 1.0)
     with pytest.raises(ConfigError):
         predicted_error(prob, 0)
+
+
+@pytest.mark.parametrize("mode,size,constraint,eps", [
+    ("fixed_n", 10 ** 4, "absolute", 2e-3),
+    ("fixed_N", 10 ** 6, "absolute", 2e-3),
+    ("fixed_N", 10 ** 6, "relative", 0.1),
+])
+def test_choose_m_predicts_each_machine_count_once(monkeypatch, mode, size, constraint, eps):
+    from splitavg import planner
+
+    probed = []
+    real = planner.predicted_error
+
+    def counting(prob, m):
+        probed.append(m)
+        return real(prob, m)
+
+    monkeypatch.setattr(planner, "predicted_error", counting)
+    prob = ols_problem(mode, size, eps, constraint=constraint)
+    result = planner.choose_m(prob)
+    assert result.m in (51, 9901, 990, 991)
+    assert len(set(probed)) == len(probed)
+    assert probed.count(1.0) == 1
