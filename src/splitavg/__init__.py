@@ -24,7 +24,9 @@ from .estimator import (
     FitReport,
     ModelSpec,
     fit_closed,
+    fit_closed_stacked,
     fit_erm,
+    population_target,
     ridge_population_target,
     sandwich_covariance,
 )

@@ -33,7 +33,7 @@ from .highdim import (
     perturb_coeffs,
 )
 from .losses import LossSpec
-from .model import GenerativeConfig, NoiseDist
+from .model import GenerativeConfig, NoiseDist, error_ratio
 from .oracles import ALL_IDENTITY_IDS, WishartIdentity, wishart_check
 from .parallel import ExperimentConfig, run_experiment, summarize
 from .planner import FixedPRegime, HighDimRegime, PlannerProblem, choose_m
@@ -66,11 +66,6 @@ def _model_spec(name: str, penalty: float) -> ModelSpec:
     return ModelSpec.logistic()
 
 
-def _link_for(name: str) -> str:
-    return {"ols": "linear", "ridge": "linear", "nls": "exp_nonlinear",
-            "logistic": "logistic"}[name]
-
-
 def _noise(args) -> NoiseDist:
     if args.noise == "gaussian":
         return NoiseDist.gaussian(args.sigma2)
@@ -97,26 +92,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, config: dict, header: list[str], rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + " ".join(f"{k}={_fmt(v)}" for k, v in config.items()) + "\n")
+def _write_csv(args, header: list[str], rows: list) -> None:
+    """Write rows under a '#' line naming every parsed setting that is not None."""
+    config = []
+    for key, value in vars(args).items():
+        if key in ("func", "out", "threads", "config") or value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(_fmt(v) for v in value)
+        config.append(f"{'cmd' if key == 'command' else key}={_fmt(value)}")
+    with open(args.out, "w", newline="") as fh:
+        fh.write("# " + " ".join(config) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
 
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return args.threads
-    text = os.environ.get("SPLITAVG_THREADS", "1")
+        source, text = "--threads", str(args.threads)
+    else:
+        source, text = "SPLITAVG_THREADS", os.environ.get("SPLITAVG_THREADS", "1")
     try:
         threads = int(text)
     except ValueError:
         threads = 0
     if threads < 1:
-        raise UsageError(f"SPLITAVG_THREADS must be a positive integer, got {text!r}")
+        raise UsageError(f"{source} must be a positive integer, got {text!r}")
     return threads
 
 
@@ -126,22 +130,16 @@ def _threads(args) -> int:
 
 
 def _run_ratio_sweep(args) -> int:
-    theta0 = _theta_recipe(args.p, args.theta_norm)
-    gen = GenerativeConfig(p=args.p, theta0=theta0, noise=_noise(args),
-                           link=_link_for(args.model))
     model = _model_spec(args.model, args.penalty)
+    theta0 = _theta_recipe(args.p, args.theta_norm)
+    gen = GenerativeConfig(p=args.p, theta0=theta0, noise=_noise(args), link=model.link)
     rows = []
     for n in args.n_grid:
         cfg = ExperimentConfig(gen=gen, model=model, N=n * args.m, m=args.m,
                                replications=args.reps, base_seed=args.seed)
         s = summarize(run_experiment(cfg, threads=_threads(args)))
         rows.append((n, args.m, s.median_ratio, s.mad_ratio, args.reps))
-    config = dict(cmd="ratio-sweep", model=args.model, p=args.p, m=args.m,
-                  n_grid=",".join(map(str, args.n_grid)), reps=args.reps,
-                  seed=args.seed, noise=args.noise, sigma2=args.sigma2,
-                  laplace_scale=args.laplace_scale, penalty=args.penalty,
-                  theta_norm=args.theta_norm)
-    _write_csv(args.out, config, ["n", "m", "median_ratio", "mad_ratio", "reps"], rows)
+    _write_csv(args, ["n", "m", "median_ratio", "mad_ratio", "reps"], rows)
     return 0
 
 
@@ -171,11 +169,7 @@ def _run_bias_mse(args) -> int:
         for coord in range(args.p):
             rows.append((m, args.p, coord, s.mean_bias[coord], theory_bias[coord],
                          s.mse_bar, mse_theory))
-    config = dict(cmd="bias-mse", model=args.model, p=args.p, N=args.N,
-                  m_grid=",".join(map(str, args.m_grid)), reps=args.reps,
-                  seed=args.seed, sigma2=args.sigma2, penalty=args.penalty,
-                  theta_norm=args.theta_norm)
-    _write_csv(args.out, config,
+    _write_csv(args,
                ["m", "p", "coord", "mean_bias", "theory_bias", "mse_emp", "mse_theory"],
                rows)
     return 0
@@ -189,26 +183,19 @@ def _run_highdim_sweep(args) -> int:
             raise UsageError(f"kappa = {args.kappa} gives invalid p at n = {n}")
         kappa = p / n
         theta0 = _theta_recipe(p, args.theta_norm)
-        gen = GenerativeConfig(p=p, theta0=theta0, noise=_noise(args),
-                               link=_link_for(args.model))
         model = _model_spec(args.model, args.penalty)
+        gen = GenerativeConfig(p=p, theta0=theta0, noise=_noise(args), link=model.link)
         cfg = ExperimentConfig(gen=gen, model=model, N=n * args.m, m=args.m,
                                replications=args.reps, base_seed=args.seed)
         s = summarize(run_experiment(cfg, threads=_threads(args)))
-        ratio_emp = s.mse_bar / s.mse_central
+        ratio_emp = error_ratio(s.mse_bar, s.mse_central)
         if args.model == "ols":
             ratio_theory = mse_ratio_exact(LossSpec.squared(), _noise(args),
                                            kappa, args.m)
         else:
             ratio_theory = ""
         rows.append((n, args.m, kappa, ratio_emp, ratio_theory))
-    config = dict(cmd="highdim-sweep", model=args.model, kappa=args.kappa,
-                  m=args.m, n_grid=",".join(map(str, args.n_grid)),
-                  reps=args.reps, seed=args.seed, noise=args.noise,
-                  sigma2=args.sigma2, laplace_scale=args.laplace_scale,
-                  penalty=args.penalty, theta_norm=args.theta_norm)
-    _write_csv(args.out, config,
-               ["n", "m", "kappa", "mse_ratio_emp", "mse_ratio_theory"], rows)
+    _write_csv(args, ["n", "m", "kappa", "mse_ratio_emp", "mse_ratio_theory"], rows)
     return 0
 
 
@@ -226,11 +213,7 @@ def _run_table1(args) -> int:
     for noise_name, noise in [("gaussian", gauss), ("laplace", lap)]:
         r1, r2 = absolute_series(noise, kappas, q)
         rows.append(("absolute", noise_name, r2 / r1))
-    config = dict(cmd="table1", delta=args.delta, sigma2=args.sigma2,
-                  laplace_scale=args.laplace_scale,
-                  kappa_grid=",".join(_fmt(k) for k in kappas),
-                  quad_nodes=args.quad_nodes)
-    _write_csv(args.out, config, ["loss", "noise", "r2_over_r1"], rows)
+    _write_csv(args, ["loss", "noise", "r2_over_r1"], rows)
     return 0
 
 
@@ -264,11 +247,7 @@ def _run_plan(args) -> int:
     prob = PlannerProblem(mode=mode, size=size, constraint=args.constraint,
                           eps=eps, regime=regime)
     result = choose_m(prob)
-    config = dict(cmd="plan", mode=args.mode, constraint=args.constraint,
-                  size=size, eps=eps, regime=args.regime, model=args.model,
-                  p=args.p, sigma2=args.sigma2, penalty=args.penalty)
-    _write_csv(args.out, config,
-               ["mode", "constraint", "m", "achieved_error"],
+    _write_csv(args, ["mode", "constraint", "m", "achieved_error"],
                [(args.mode, args.constraint, result.m, result.achieved_error)])
     print(f"m = {result.m} (achieved error {result.achieved_error:.6g}, "
           f"binding={result.binding})")
@@ -285,9 +264,7 @@ def _run_wishart_check(args) -> int:
             w = WishartIdentity(id=ident, sigma=np.eye(p), B=b)
             res = wishart_check(w, reps=args.reps, seed=args.seed + 1000 + p)
             rows.append((ident, p, args.reps, res.max_abs_z))
-    config = dict(cmd="wishart-check", reps=args.reps,
-                  p_grid=",".join(map(str, args.p_grid)), seed=args.seed)
-    _write_csv(args.out, config, ["identity", "p", "reps", "max_abs_z"], rows)
+    _write_csv(args, ["identity", "p", "reps", "max_abs_z"], rows)
     worst = max(row[3] for row in rows)
     print(f"worst |z| = {worst:.3f} over {len(rows)} identity checks")
     return 0

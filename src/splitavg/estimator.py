@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .errors import ConfigError, RankError, SingularHessianError
 from .losses import LossSpec, derivative_array
-from .model import Dataset, sigma_as_matrix
+from .model import Dataset, GenerativeConfig, sigma_as_matrix
 
 _SUPPORTED_PAIRS = {
     ("squared", "linear"),
@@ -43,6 +43,11 @@ class ModelSpec:
     @property
     def penalty(self) -> float:
         return self.loss.penalty if self.loss.kind == "ridge" else 0.0
+
+    @property
+    def is_closed_form(self) -> bool:
+        """OLS or ridge: fitted by ``fit_closed`` rather than Newton iterations."""
+        return self.link == "linear"
 
     @staticmethod
     def ols() -> "ModelSpec":
@@ -228,17 +233,31 @@ def fit_erm(
     return FitReport(theta, gnorm, iterations, ok)
 
 
-def fit_closed(d: Dataset, penalty: float = 0.0) -> np.ndarray:
-    """Closed-form (X'X/n + penalty I)^-1 X'y/n; penalty = 0 is OLS."""
+def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
+    """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs.
+
+    ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
+    (..., p).  Every system gets the LAPACK calls of a lone 2-D solve, so a
+    slice of the stack equals its own fit bitwise.  Any singular system raises
+    ``RankError``.
+    """
     if penalty < 0:
         raise ConfigError("penalty must be >= 0")
-    a = d.X.T @ d.X / d.n + penalty * np.eye(d.p)
-    b = d.X.T @ d.y / d.n
+    n, p = X.shape[-2:]
+    xt = np.swapaxes(X, -1, -2)
+    a = xt @ X / n + penalty * np.eye(p)
+    b = xt @ y[..., None] / n
     try:
-        cf = scipy.linalg.cho_factor(a, check_finite=False)
+        # upper factors; on a stack the returned lower flag is one per system
+        cf, _ = scipy.linalg.cho_factor(a, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError):
         raise RankError("normal equations are singular (rank-deficient design)") from None
-    return scipy.linalg.cho_solve(cf, b, check_finite=False)
+    return scipy.linalg.cho_solve((cf, False), b, check_finite=False)[..., 0]
+
+
+def fit_closed(d: Dataset, penalty: float = 0.0) -> np.ndarray:
+    """Closed-form (X'X/n + penalty I)^-1 X'y/n; penalty = 0 is OLS."""
+    return fit_closed_stacked(d.X, d.y, penalty)
 
 
 def ridge_population_target(theta0: np.ndarray, sigma, penalty: float) -> np.ndarray:
@@ -247,6 +266,13 @@ def ridge_population_target(theta0: np.ndarray, sigma, penalty: float) -> np.nda
     p = theta0.shape[0]
     sig = sigma_as_matrix(sigma, p)
     return np.linalg.solve(sig + penalty * np.eye(p), sig @ theta0)
+
+
+def population_target(gen: GenerativeConfig, model: ModelSpec) -> np.ndarray:
+    """Population minimizer of the model's risk: the ridge shrinkage point, else theta0."""
+    if model.loss.kind == "ridge":
+        return ridge_population_target(gen.theta0, gen.sigma_spec, model.penalty)
+    return gen.theta0
 
 
 def per_sample_gradients(d: Dataset, model: ModelSpec, theta: np.ndarray) -> np.ndarray:

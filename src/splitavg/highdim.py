@@ -19,7 +19,7 @@ from scipy.special import ndtr
 
 from .errors import ConfigError, DegenerateLossError, NumericalError, SolverFailureError
 from .losses import LossSpec, derivative_array, prox_array
-from .model import NoiseDist
+from .model import NoiseDist, error_ratio
 
 _SQRT2 = math.sqrt(2.0)
 _SQRTPI = math.sqrt(math.pi)
@@ -450,7 +450,10 @@ def mse_ratio_first_order(kappa: float, m: int, coeffs: PerturbCoeffs) -> float:
 
 def mse_ratio_exact(loss: LossSpec, noise: NoiseDist, kappa: float, m: int,
                     q: QuadratureSpec | None = None) -> float:
-    """(r^2(kappa)/m) / r^2(kappa/m): the averaged-vs-centralized MSE ratio."""
+    """(r^2(kappa)/m) / r^2(kappa/m): the averaged-vs-centralized MSE ratio.
+
+    Noiseless problems have r^2 = 0 at both sizes and give ratio 1.
+    """
     if m < 1:
         raise ConfigError("m must be >= 1")
     if m == 1:
@@ -458,4 +461,4 @@ def mse_ratio_exact(loss: LossSpec, noise: NoiseDist, kappa: float, m: int,
     q = q or DEFAULT_QUADRATURE
     top = solve_rc(loss, noise, kappa, q).r_squared / m
     bottom = solve_rc(loss, noise, kappa / m, q).r_squared
-    return top / bottom
+    return error_ratio(top, bottom)

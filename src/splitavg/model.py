@@ -129,7 +129,7 @@ def _laplace_inverse_cdf(u: np.ndarray, scale: float) -> np.ndarray:
     return -scale * np.sign(q) * np.log1p(-2.0 * np.abs(q))
 
 
-def sample_noise(noise: NoiseDist, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_noise(noise: NoiseDist, n: int | tuple, rng: np.random.Generator) -> np.ndarray:
     if noise.kind == "gaussian":
         return np.sqrt(noise.param) * rng.standard_normal(n)
     return _laplace_inverse_cdf(rng.random(n), noise.param)
@@ -175,3 +175,10 @@ def split_uniform(d: Dataset, m: int, seed: int) -> list[Dataset]:
         Dataset(d.X[perm[j * size:(j + 1) * size]], d.y[perm[j * size:(j + 1) * size]])
         for j in range(m)
     ]
+
+
+def error_ratio(err_bar: float, err_central: float) -> float:
+    """err_bar / err_central, with 0/0 = 1 (both exact) and x/0 = inf."""
+    if err_central == 0.0:
+        return 1.0 if err_bar == 0.0 else float("inf")
+    return err_bar / err_central

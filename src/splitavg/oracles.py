@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import ModelSpec, fit_erm, ridge_population_target
-from .model import GenerativeConfig, sample_dataset
+from .estimator import ModelSpec, fit_closed_stacked, fit_erm, population_target
+from .model import GenerativeConfig, sample_dataset, sample_noise
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
 SECOND_KIND_IDS = (
@@ -88,35 +88,33 @@ def wishart_closed_form(w: WishartIdentity) -> np.ndarray:
     return (4.0 + 2.0 * p) * B + (2.0 + p) * tr_b * eye  # E_SS22BS
 
 
-def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Per-draw matrix expression, using the rank-one structure S_i = x_i x_i'."""
+def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
+    """Per-draw factors (w, u, v) of the expression w_r u_r v_r', using S_i = x_i x_i'."""
     B = w.B
     if w.id == "E_S":
-        return np.einsum("ri,rj->rij", x1, x1)
+        return np.ones(len(x1)), x1, x1
     bx1 = x1 @ B
     if w.id == "E_SBS":
         q = np.einsum("ri,ri->r", bx1, x1)  # x1' B x1
-        return q[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
+        return q, x1, x1
     dot12 = np.einsum("ri,ri->r", x1, x2)
     bx12 = np.einsum("ri,ri->r", bx1, x2)  # x1' B x2
     if w.id == "E_SBS2BS":
-        return (bx12 ** 2)[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
-    if w.id == "E_SS2BSS2":
-        return (dot12 ** 2 * bx12)[:, None, None] * np.einsum("ri,rj->rij", x1, x2)
+        return bx12 ** 2, x1, x1
+    if w.id in ("E_SS2BSS2", "E_SS2S_BS2"):
+        return dot12 ** 2 * bx12, x1, x2
     if w.id == "E_SS2BS":
-        return (dot12 * bx12)[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
+        return dot12 * bx12, x1, x1
     if w.id == "E_SS2BS2S":
         q = np.einsum("ri,ri->r", x2 @ B, x2)  # x2' B x2
-        return (dot12 ** 2 * q)[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
+        return dot12 ** 2 * q, x1, x1
     if w.id == "E_S2BS":
         q = np.einsum("ri,ri->r", bx1, x1)
         n1 = np.einsum("ri,ri->r", x1, x1)
-        return (n1 * q)[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
-    if w.id == "E_SS2S_BS2":
-        return (dot12 ** 2 * bx12)[:, None, None] * np.einsum("ri,rj->rij", x1, x2)
+        return n1 * q, x1, x1
     # E_SS22BS
     n2 = np.einsum("ri,ri->r", x2, x2)
-    return (dot12 * n2 * bx12)[:, None, None] * np.einsum("ri,rj->rij", x1, x1)
+    return dot12 * n2 * bx12, x1, x1
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,9 +142,9 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int,
         c = min(chunk, reps - done)
         x1 = rng.standard_normal((c, p)) @ chol.T
         x2 = rng.standard_normal((c, p)) @ chol.T
-        terms = _mc_terms(w, x1, x2)
-        total += terms.sum(axis=0)
-        total_sq += (terms * terms).sum(axis=0)
+        wt, u, v = _mc_terms(w, x1, x2)
+        total += (u * wt[:, None]).T @ v
+        total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
         done += c
     mean = total / reps
     var = (total_sq / reps - mean * mean) * reps / (reps - 1)
@@ -185,44 +183,26 @@ class MomentFitResult:
     fit_residual_mse: float = 0.0
 
 
-def _target(cfg: GenerativeConfig, model: ModelSpec) -> np.ndarray:
-    if model.loss.kind == "ridge":
-        return ridge_population_target(cfg.theta0, cfg.sigma_spec, model.penalty)
-    return cfg.theta0
-
-
-def _batched_linear_errors(cfg, model, n, reps, rng):
-    """Closed-form OLS/ridge errors, vectorized over replications."""
-    lam = model.penalty
-    target = _target(cfg, model)
-    chol_t = None if cfg.sigma_spec is None else np.linalg.cholesky(cfg.sigma).T
-    p = cfg.p
-    out = np.empty((reps, p))
-    chunk = max(1, int(2e7 / (n * p)))
+def _closed_form_errors(cfg, model, n, reps, rng):
+    """Closed-form OLS/ridge errors, stacked over replications."""
+    target = population_target(cfg, model)
+    chol_t = None if cfg.sigma_spec is None else cfg._chol.T
+    out = np.empty((reps, cfg.p))
+    chunk = max(1, int(2e7 / (n * cfg.p)))
     done = 0
-    eye = np.eye(p)
     while done < reps:
         c = min(chunk, reps - done)
-        x = rng.standard_normal((c, n, p))
+        x = rng.standard_normal((c, n, cfg.p))
         if chol_t is not None:
             x = x @ chol_t
-        s = np.einsum("rni,i->rn", x, cfg.theta0)
-        if cfg.noise.kind == "gaussian":
-            eps = np.sqrt(cfg.noise.param) * rng.standard_normal((c, n))
-        else:
-            u = rng.random((c, n)) - 0.5
-            u = np.clip(u, -0.5 * (1 - 1e-16), 0.5 * (1 - 1e-16))
-            eps = -cfg.noise.param * np.sign(u) * np.log1p(-2.0 * np.abs(u))
-        y = s + eps
-        a = np.einsum("rni,rnj->rij", x, x) / n + lam * eye
-        b = np.einsum("rni,rn->ri", x, y) / n
-        out[done:done + c] = np.linalg.solve(a, b[:, :, None])[:, :, 0] - target
+        y = x @ cfg.theta0 + sample_noise(cfg.noise, (c, n), rng)
+        out[done:done + c] = fit_closed_stacked(x, y, model.penalty) - target
         done += c
     return out
 
 
 def _erm_errors(cfg, model, n, reps, rng):
-    target = _target(cfg, model)
+    target = population_target(cfg, model)
     out = np.empty((reps, cfg.p))
     for r in range(reps):
         d = sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1)))
@@ -244,6 +224,23 @@ def _wls(n_grid, values, ses):
     coef = cov @ (zw.T @ yw)
     resid = float(np.linalg.norm(design @ coef - values))
     return coef, np.sqrt(np.diag(cov)), resid, np.linalg.cond(zw)
+
+
+def _fit_entries(n_grid, by_n, se_by_n):
+    """``_wls`` on every entry of the per-n arrays.
+
+    Returns the stacked (a, b) coefficients, their standard errors, and the
+    worst residual and design condition number over the entries.
+    """
+    shape = (2,) + by_n[n_grid[0]].shape
+    coef, se = np.empty(shape), np.empty(shape)
+    worst_resid = worst_cond = 0.0
+    for idx in np.ndindex(shape[1:]):
+        entry = (slice(None),) + idx
+        coef[entry], se[entry], resid, cond = _wls(
+            n_grid, [by_n[n][idx] for n in n_grid], [se_by_n[n][idx] for n in n_grid])
+        worst_resid, worst_cond = max(worst_resid, resid), max(worst_cond, cond)
+    return coef, se, worst_resid, worst_cond
 
 
 def mc_moment_fit(
@@ -268,12 +265,10 @@ def mc_moment_fit(
     if min(n_grid) < 10 * cfg.p:
         raise ConfigError("n_grid values must be well above p")
     rng = np.random.default_rng(seed)
-    closed_form = model.link == "linear" and model.loss.kind in ("squared", "ridge")
-    p = cfg.p
     bias_by_n, bias_se_by_n = {}, {}
     mse_by_n, mse_se_by_n = {}, {}
     for n in n_grid:
-        errs = (_batched_linear_errors if closed_form else _erm_errors)(
+        errs = (_closed_form_errors if model.is_closed_form else _erm_errors)(
             cfg, model, n, reps, rng)
         bias_by_n[n] = errs.mean(axis=0)
         bias_se_by_n[n] = errs.std(axis=0, ddof=1) / np.sqrt(reps)
@@ -281,47 +276,16 @@ def mc_moment_fit(
         mse_by_n[n] = prods.mean(axis=0)
         mse_se_by_n[n] = prods.std(axis=0, ddof=1) / np.sqrt(reps)
 
-    delta_hat = np.empty(p)
-    bias_n2 = np.empty(p)
-    delta_se = np.empty(p)
-    bias_n2_se = np.empty(p)
-    worst_cond = 0.0
-    resid_bias = 0.0
-    for j in range(p):
-        coef, se, resid, cond = _wls(
-            n_grid,
-            [bias_by_n[n][j] for n in n_grid],
-            [bias_se_by_n[n][j] for n in n_grid],
-        )
-        delta_hat[j], bias_n2[j] = coef
-        delta_se[j], bias_n2_se[j] = se
-        worst_cond = max(worst_cond, cond)
-        resid_bias = max(resid_bias, resid)
-
-    gamma1_hat = np.empty((p, p))
-    sum_hat = np.empty((p, p))
-    gamma1_se = np.empty((p, p))
-    sum_se = np.empty((p, p))
-    resid_mse = 0.0
-    for i in range(p):
-        for j in range(p):
-            coef, se, resid, cond = _wls(
-                n_grid,
-                [mse_by_n[n][i, j] for n in n_grid],
-                [mse_se_by_n[n][i, j] for n in n_grid],
-            )
-            gamma1_hat[i, j], sum_hat[i, j] = coef
-            gamma1_se[i, j], sum_se[i, j] = se
-            worst_cond = max(worst_cond, cond)
-            resid_mse = max(resid_mse, resid)
-    if worst_cond > 1e8:
+    bias, bias_se, resid_bias, cond_bias = _fit_entries(n_grid, bias_by_n, bias_se_by_n)
+    mse, mse_se, resid_mse, cond_mse = _fit_entries(n_grid, mse_by_n, mse_se_by_n)
+    if max(cond_bias, cond_mse) > 1e8:
         warnings.warn("moment fit is ill-conditioned; widen n_grid", RuntimeWarning)
     return MomentFitResult(
         n_grid=list(n_grid),
-        bias_coeffs=(delta_hat, bias_n2),
-        mse_coeffs=(gamma1_hat, sum_hat),
-        bias_se=(delta_se, bias_n2_se),
-        mse_se=(gamma1_se, sum_se),
+        bias_coeffs=tuple(bias),
+        mse_coeffs=tuple(mse),
+        bias_se=tuple(bias_se),
+        mse_se=tuple(mse_se),
         bias_by_n=bias_by_n,
         mse_by_n=mse_by_n,
         fit_residual_bias=resid_bias,

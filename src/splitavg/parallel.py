@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MachineFitError, SplitAvgError
-from .estimator import ModelSpec, fit_closed, fit_erm, ridge_population_target
-from .model import Dataset, GenerativeConfig, sample_dataset, split_uniform
+from .estimator import ModelSpec, fit_closed, fit_erm, population_target
+from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_uniform
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +43,7 @@ class ExperimentConfig:
 
     def theta_star(self) -> np.ndarray:
         """Population target: the ridge shrinkage point, else theta0."""
-        if self.model.loss.kind == "ridge":
-            return ridge_population_target(
-                self.gen.theta0, self.gen.sigma_spec, self.model.penalty)
-        return self.gen.theta0
+        return population_target(self.gen, self.model)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +84,7 @@ def average_estimate(thetas) -> np.ndarray:
 
 
 def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
-    if model.link == "linear" and model.loss.kind in ("squared", "ridge"):
+    if model.is_closed_form:
         return fit_closed(d, model.penalty)
     # 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n)
     # margin of an approximate minimizer while staying reachable in double
@@ -143,13 +140,6 @@ def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
     return [run_replication(cfg, r) for r in reps]
 
 
-def _error_ratio(err_bar: float, err_central: float) -> float:
-    """err_bar / err_central, with 0/0 = 1 (both exact) and x/0 = inf."""
-    if err_central == 0.0:
-        return 1.0 if err_bar == 0.0 else float("inf")
-    return err_bar / err_central
-
-
 def summarize(results) -> Summary:
     """Median/MAD of the error ratios plus bias and MSE summaries with MC SEs.
 
@@ -160,7 +150,7 @@ def summarize(results) -> Summary:
     if len(results) < 2:
         raise ConfigError("summarize needs >= 2 replications")
     reps = len(results)
-    ratios = np.array([_error_ratio(r.err_bar, r.err_central) for r in results])
+    ratios = np.array([error_ratio(r.err_bar, r.err_central) for r in results])
     err_bar_sq = np.array([r.err_bar ** 2 for r in results])
     err_central_sq = np.array([r.err_central ** 2 for r in results])
     bias = np.array([r.per_coordinate_bias_sample for r in results])

@@ -1,10 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import csv
 
 import pytest
 
-from splitavg.cli import main
+from splitavg.cli import build_parser, main
 
 
 def read_csv(path):
@@ -201,3 +202,47 @@ def test_bad_thread_env_exits_one(tmp_path, monkeypatch, capsys, value):
                  "--reps", "2", "--out", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bad_thread_flag_exits_one(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = main(["ratio-sweep", "--p", "3", "--m", "2", "--n-grid", "60",
+                 "--reps", "2", "--threads", "-3", "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_highdim_sweep_noiseless_exits_zero(tmp_path):
+    out = tmp_path / "hd.csv"
+    code = main(["highdim-sweep", "--sigma2", "0", "--theta-norm", "0",
+                 "--n-grid", "100", "--m", "2", "--reps", "3", "--out", str(out)])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert rows[0][3:] == ["1", "1"]  # both fits exact: ratio 0/0 = 1
+
+
+_SMALL_RUNS = {
+    "ratio-sweep": ["--p", "2", "--m", "2", "--n-grid", "20", "--reps", "2"],
+    "bias-mse": ["--p", "2", "--N", "40", "--m-grid", "2", "--reps", "2"],
+    "highdim-sweep": ["--n-grid", "20", "--m", "2", "--reps", "2"],
+    "table1": ["--quad-nodes", "16"],
+    "plan": ["--mode", "fixed-n", "--n", "1e4", "--p", "10", "--total-eps", "0.1"],
+    "wishart-check": ["--reps", "1e4", "--p-grid", "1"],
+}
+
+
+def test_header_names_every_option(tmp_path):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_SMALL_RUNS)
+    for command, argv in _SMALL_RUNS.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        comment, _, _ = read_csv(out)
+        named = {tok.split("=", 1)[0] for tok in comment[2:].split()}
+        args = build_parser().parse_args([command, *argv])
+        options = {a.dest for a in sub.choices[command]._actions
+                   if a.dest not in ("help", "out", "threads", "config")
+                   and getattr(args, a.dest) is not None}
+        assert options <= named, (command, options - named)
+        assert f"cmd={command}" in comment

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from splitavg import (
     ConfigError,
@@ -12,10 +13,12 @@ from splitavg import (
     NoiseDist,
     RankError,
     fit_closed,
+    fit_closed_stacked,
     fit_erm,
     ridge_population_target,
     sample_dataset,
     sandwich_covariance,
+    split_uniform,
 )
 
 
@@ -30,6 +33,40 @@ def test_closed_form_tiny_examples():
     assert fit_closed(d, 0.0)[0] == pytest.approx(2.0)
     assert fit_closed(d, 1.0)[0] == pytest.approx(1.0)
     assert abs(fit_closed(d, 1e9)[0]) < 1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2, 40])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_stacked_fits_equal_shard_fits_bitwise(m, lam):
+    d, _ = _data(n=2000, p=5, seed=3)
+    shards = split_uniform(d, m, seed=4)
+    X = np.stack([s.X for s in shards])
+    y = np.stack([s.y for s in shards])
+    stacked = fit_closed_stacked(X, y, lam)
+    assert np.array_equal(stacked, np.array([fit_closed(s, lam) for s in shards]))
+
+
+@pytest.mark.parametrize("n, p", [(50, 5), (500, 20)])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_closed_form_equals_plain_normal_equations_bitwise(n, p, lam):
+    # reference: 2-D normal equations with a matrix-vector X'y and one
+    # unbatched Cholesky solve
+    d, _ = _data(n=n, p=p, seed=6)
+    a = d.X.T @ d.X / n + lam * np.eye(p)
+    b = d.X.T @ d.y / n
+    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a, check_finite=False), b,
+                                 check_finite=False)
+    assert np.array_equal(fit_closed(d, lam), ref)
+    stacked = fit_closed_stacked(np.stack([d.X, d.X]), np.stack([d.y, d.y]), lam)
+    assert np.array_equal(stacked, np.stack([ref, ref]))
+
+
+def test_stacked_rank_error_on_any_singular_system():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, 10, 2))
+    X[1, :, 1] = 0.0  # the second system alone is singular
+    with pytest.raises(RankError):
+        fit_closed_stacked(X, rng.standard_normal((3, 10)))
 
 
 def test_erm_matches_closed_form_ols_and_ridge():

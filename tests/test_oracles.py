@@ -14,7 +14,9 @@ from splitavg import (
     wishart_check,
     wishart_closed_form,
 )
-from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS
+from splitavg.estimator import fit_closed, population_target
+from splitavg.model import Dataset, sample_noise
+from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS, _closed_form_errors
 
 
 def test_closed_form_examples():
@@ -73,6 +75,22 @@ def test_mc_moment_fit_ols_bias_is_zero():
                         reps=30_000, seed=4)
     delta_hat, delta_se = fit.bias_coeffs[0], fit.bias_se[0]
     assert np.all(np.abs(delta_hat) <= 3 * delta_se)
+
+
+@pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(0.5)])
+@pytest.mark.parametrize("noise", [NoiseDist.gaussian(2.0), NoiseDist.laplace(0.7)])
+def test_closed_form_errors_match_per_replication_fits(model, noise):
+    cfg = GenerativeConfig(p=3, theta0=np.array([1.0, -2.0, 0.5]), noise=noise,
+                           sigma_spec=np.array([1.0, 2.0, 0.5]))
+    n, reps = 40, 25
+    errs = _closed_form_errors(cfg, model, n, reps, np.random.default_rng(6))
+    # the same draws, one replication at a time
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((reps, n, cfg.p)) @ np.linalg.cholesky(cfg.sigma).T
+    y = x @ cfg.theta0 + sample_noise(noise, (reps, n), rng)
+    target = population_target(cfg, model)
+    expect = [fit_closed(Dataset(x[r], y[r]), model.penalty) - target for r in range(reps)]
+    assert np.max(np.abs(errs - np.array(expect))) <= 1e-12
 
 
 def test_mc_moment_fit_residuals_shrink_with_wider_grid():

@@ -12,6 +12,7 @@ from splitavg import (
     MachineFitError,
     ModelSpec,
     NoiseDist,
+    RankError,
     ReplicationResult,
     average_estimate,
     run_experiment,
@@ -120,6 +121,23 @@ def test_machine_fit_failure_is_tagged():
     with pytest.raises(MachineFitError) as info:
         run_replication(cfg, 0)
     assert 0 <= info.value.machine_index < 16
+
+
+@pytest.mark.parametrize("model", ["ols", "ridge"])
+def test_underdetermined_linear_shards_are_tagged(model):
+    # ridge with penalty 0 keeps the shard systems singular
+    cfg = _cfg(model=model, penalty=0.0, p=6, N=40, m=10, reps=1)
+    with pytest.raises(MachineFitError) as info:
+        run_replication(cfg, 0)
+    assert info.value.machine_index == 0
+    assert isinstance(info.value.__cause__, RankError)
+
+
+def test_underdetermined_central_fit_raises_rank_error():
+    cfg = _cfg(p=6, N=4, m=2, reps=1)
+    with pytest.raises(RankError) as info:
+        run_replication(cfg, 0)
+    assert not isinstance(info.value, MachineFitError)
 
 
 def test_config_validation():
