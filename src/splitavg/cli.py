@@ -129,40 +129,38 @@ def _threads(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_ratio_sweep(args) -> int:
+def _summary(args, p: int, N: int, m: int):
+    """Summary of ``args.reps`` seeded replications of the recipe model at (p, N, m)."""
     model = _model_spec(args.model, args.penalty)
-    theta0 = _theta_recipe(args.p, args.theta_norm)
-    gen = GenerativeConfig(p=args.p, theta0=theta0, noise=_noise(args), link=model.link)
+    gen = GenerativeConfig(p=p, theta0=_theta_recipe(p, args.theta_norm), noise=_noise(args),
+                           link=model.link)
+    cfg = ExperimentConfig(gen=gen, model=model, N=N, m=m, replications=args.reps,
+                           base_seed=args.seed)
+    return summarize(run_experiment(cfg, threads=_threads(args)))
+
+
+def _run_ratio_sweep(args) -> int:
     rows = []
     for n in args.n_grid:
-        cfg = ExperimentConfig(gen=gen, model=model, N=n * args.m, m=args.m,
-                               replications=args.reps, base_seed=args.seed)
-        s = summarize(run_experiment(cfg, threads=_threads(args)))
+        s = _summary(args, args.p, n * args.m, args.m)
         rows.append((n, args.m, s.median_ratio, s.mad_ratio, args.reps))
     _write_csv(args, ["n", "m", "median_ratio", "mad_ratio", "reps"], rows)
     return 0
 
 
-def _gammas_for(args, theta0):
+def _gammas_for(args):
     # the theory uses the variance of the noise the simulation draws
     variance = _noise(args).variance
     if args.model == "ols":
         return ols_gammas(None, variance, args.p)
-    return ridge_gammas(theta0, variance, args.penalty)
+    return ridge_gammas(_theta_recipe(args.p, args.theta_norm), variance, args.penalty)
 
 
 def _run_bias_mse(args) -> int:
-    if args.model not in ("ols", "ridge"):
-        raise UsageError("bias-mse supports models ols and ridge")
-    theta0 = _theta_recipe(args.p, args.theta_norm)
-    gen = GenerativeConfig(p=args.p, theta0=theta0, noise=_noise(args), link="linear")
-    model = _model_spec(args.model, args.penalty)
-    gam = _gammas_for(args, theta0)
+    gam = _gammas_for(args)
     rows = []
     for m in args.m_grid:
-        cfg = ExperimentConfig(gen=gen, model=model, N=args.N, m=m,
-                               replications=args.reps, base_seed=args.seed)
-        s = summarize(run_experiment(cfg, threads=_threads(args)))
+        s = _summary(args, args.p, args.N, m)
         n = args.N // m
         theory_bias = bias2(gam, n, m)
         mse_theory = float(np.trace(m2_parallel(gam, n, m)))
@@ -182,12 +180,7 @@ def _run_highdim_sweep(args) -> int:
         if p < 1 or p >= n:
             raise UsageError(f"kappa = {args.kappa} gives invalid p at n = {n}")
         kappa = p / n
-        theta0 = _theta_recipe(p, args.theta_norm)
-        model = _model_spec(args.model, args.penalty)
-        gen = GenerativeConfig(p=p, theta0=theta0, noise=_noise(args), link=model.link)
-        cfg = ExperimentConfig(gen=gen, model=model, N=n * args.m, m=args.m,
-                               replications=args.reps, base_seed=args.seed)
-        s = summarize(run_experiment(cfg, threads=_threads(args)))
+        s = _summary(args, p, n * args.m, args.m)
         ratio_emp = error_ratio(s.mse_bar, s.mse_central)
         if args.model == "ols":
             ratio_theory = mse_ratio_exact(LossSpec.squared(), _noise(args),
@@ -232,8 +225,7 @@ def _run_plan(args) -> int:
         else:
             raise UsageError("absolute constraint needs --total-eps or --per-coord-eps")
     if args.regime == "fixed-p":
-        theta0 = _theta_recipe(args.p, args.theta_norm)
-        regime = FixedPRegime(_gammas_for(args, theta0))
+        regime = FixedPRegime(_gammas_for(args))
     else:
         loss = {"squared": LossSpec.squared(),
                 "pseudo-huber": LossSpec.pseudo_huber(args.delta),
@@ -276,11 +268,15 @@ def _run_wishart_check(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=default_out, help="output CSV path")
+    p.add_argument("--config", default=None, help="flat key=value defaults file")
+
+
+def _add_replications(p: argparse.ArgumentParser) -> None:
+    """Options of the subcommands that run seeded split-and-average replications."""
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads (default: SPLITAVG_THREADS or 1)")
-    p.add_argument("--config", default=None, help="flat key=value defaults file")
 
 
 def _add_noise(p: argparse.ArgumentParser, sigma2: float) -> None:
@@ -304,6 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--penalty", type=float, default=0.1)
     p.add_argument("--theta-norm", type=float, default=1.0)
     _add_noise(p, sigma2=10.0)
+    _add_replications(p)
     _add_common(p, "ratio_sweep.csv")
     p.set_defaults(func=_run_ratio_sweep)
 
@@ -316,6 +313,7 @@ def build_parser() -> _Parser:
     p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--theta-norm", type=float, default=10.0)
     _add_noise(p, sigma2=2.0)
+    _add_replications(p)
     _add_common(p, "bias_mse.csv")
     p.set_defaults(func=_run_bias_mse)
 
@@ -328,6 +326,7 @@ def build_parser() -> _Parser:
     p.add_argument("--penalty", type=float, default=1.0)
     p.add_argument("--theta-norm", type=float, default=1.0)
     _add_noise(p, sigma2=1.0)
+    _add_replications(p)
     _add_common(p, "highdim_sweep.csv")
     p.set_defaults(func=_run_highdim_sweep)
 
@@ -368,6 +367,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
     p.add_argument("--reps", type=lambda s: int(float(s)), default=1_000_000)
     p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
+    p.add_argument("--seed", type=int, default=0)
     _add_common(p, "wishart_check.csv")
     p.set_defaults(func=_run_wishart_check)
 

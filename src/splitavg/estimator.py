@@ -74,44 +74,30 @@ class FitReport:
     converged: bool
 
 
-def _loss_values(d: Dataset, model: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    s = d.X @ theta
-    loss = model.loss
+def _link(d: Dataset, model: ModelSpec, s: np.ndarray):
+    """Loss argument t at the linear predictor s, with dt/ds and d2t/ds2."""
     if model.link == "linear":
-        return derivative_array(loss, d.y - s, 0)
+        return d.y - s, -1.0, 0.0
     if model.link == "exp_nonlinear":
-        return derivative_array(loss, d.y - np.exp(s), 0)
-    return derivative_array(loss, (2.0 * d.y - 1.0) * s, 0)
+        mu = np.exp(s)
+        return d.y - mu, -mu, -mu
+    yy = 2.0 * d.y - 1.0  # logistic link, margin form with labels in {-1, +1}
+    return yy * s, yy, 0.0
 
 
 def _score_weights(d: Dataset, model: ModelSpec, theta: np.ndarray):
-    """Weights (w1, w2) with grad = X' w1 / n + pen' and hess = X' diag(w2) X / n + pen''.
-
-    Only evaluated at points of finite risk, so the link transforms stay in
-    range.
-    """
-    s = d.X @ theta
-    loss = model.loss
-    if model.link == "linear":
-        r = d.y - s
-        return -derivative_array(loss, r, 1), derivative_array(loss, r, 2)
-    if model.link == "exp_nonlinear":
-        mu = np.exp(s)
-        r = d.y - mu
-        f1 = derivative_array(loss, r, 1)
-        f2 = derivative_array(loss, r, 2)
-        return -f1 * mu, f2 * mu * mu - f1 * mu
-    yy = 2.0 * d.y - 1.0  # logistic link, margin form with labels in {-1, +1}
-    t = yy * s
-    return derivative_array(loss, t, 1) * yy, derivative_array(loss, t, 2)
+    """Weights (w1, w2) with grad = X' w1 / n + pen' and hess = X' diag(w2) X / n + pen''."""
+    t, dt, d2t = _link(d, model, d.X @ theta)
+    f1 = derivative_array(model.loss, t, 1)
+    return f1 * dt, derivative_array(model.loss, t, 2) * dt * dt + f1 * d2t
 
 
 def _risk(d: Dataset, model: ModelSpec, theta: np.ndarray) -> float:
     # Exploratory line-search points may overflow the exp link; map any
     # non-finite value to +inf so they are rejected, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _loss_values(d, model, theta)
-        total = float(np.mean(vals))
+        t = _link(d, model, d.X @ theta)[0]
+        total = float(np.mean(derivative_array(model.loss, t, 0)))
     pen = 0.5 * model.penalty * float(theta @ theta)
     risk = total + pen
     return risk if np.isfinite(risk) else np.inf
@@ -171,9 +157,10 @@ def fit_erm(
     """Minimize the empirical risk by damped Newton with Armijo backtracking.
 
     Stops when the gradient norm drops below ``tol`` (default
-    ``min(1e-10, n^-2)``).  Hitting the iteration cap returns
-    ``converged=False`` rather than raising; callers decide (logistic fits on
-    separable data legitimately never converge).
+    ``min(1e-10, n^-2)``).  Hitting the iteration cap or a failed line search
+    returns ``converged=False`` rather than raising; callers decide (logistic
+    fits on separable data legitimately never converge).  A singular Hessian
+    raises ``SingularHessianError`` unless the cap has been reached.
     """
     if not model.loss.is_smooth:
         raise ConfigError("fit_erm requires a smooth loss")
@@ -184,53 +171,42 @@ def fit_erm(
     theta = np.array(_default_init(d, model) if init is None else init, dtype=float)
     if theta.shape != (d.p,):
         raise ConfigError(f"init must have shape ({d.p},)")
-    quadratic = model.link == "linear"
     risk = _risk(d, model, theta)
-    if trace is not None:
-        trace.append(risk)
-    def certified(gnorm, direction, clean):
+    iterations = 0
+    while True:
+        if trace is not None:
+            trace.append(risk)
+        grad, hess = _grad_hess(d, model, theta)
+        gnorm = float(np.linalg.norm(grad))
+        try:
+            direction, clean = _newton_direction(hess, grad, model.is_closed_form)
+        except SingularHessianError:
+            if iterations < max_iter:
+                raise
+            return FitReport(theta, gnorm, iterations, False)
         # A small gradient alone is not a minimizer certificate: on separable
         # logistic data the risk is exponentially flat and the (shifted)
         # Newton step underflows while no finite minimizer exists.  Require a
         # cleanly factorizable Hessian and a small Newton step as well.
         step_ok = float(np.linalg.norm(direction)) <= 1e-6 * (1.0 + float(np.linalg.norm(theta)))
-        return gnorm <= tol and clean and step_ok
-
-    iterations = 0
-    for _ in range(max_iter):
-        grad, hess = _grad_hess(d, model, theta)
-        gnorm = float(np.linalg.norm(grad))
-        direction, clean = _newton_direction(hess, grad, quadratic)
-        if certified(gnorm, direction, clean):
-            return FitReport(theta, gnorm, iterations, True)
+        converged = gnorm <= tol and clean and step_ok
+        if converged or iterations >= max_iter:
+            return FitReport(theta, gnorm, iterations, converged)
         slope = float(grad @ direction)
         if slope >= 0:  # not a descent direction; fall back to steepest descent
             direction = -grad
             slope = -gnorm * gnorm
         step = 1.0
-        accepted = False
         for _ in range(60):
             cand = theta + step * direction
             cand_risk = _risk(d, model, cand)
             if cand_risk <= risk + _ARMIJO_C1 * step * slope:
-                accepted = True
                 break
             step *= _ARMIJO_BETA
-        if not accepted:
-            break
-        theta = cand
-        risk = cand_risk
+        else:
+            return FitReport(theta, gnorm, iterations, False)
+        theta, risk = cand, cand_risk
         iterations += 1
-        if trace is not None:
-            trace.append(risk)
-    grad, hess = _grad_hess(d, model, theta)
-    gnorm = float(np.linalg.norm(grad))
-    try:
-        direction, clean = _newton_direction(hess, grad, quadratic)
-        ok = certified(gnorm, direction, clean)
-    except SingularHessianError:
-        ok = False
-    return FitReport(theta, gnorm, iterations, ok)
 
 
 def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:

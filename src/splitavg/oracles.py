@@ -204,10 +204,15 @@ def _closed_form_errors(cfg, model, n, reps, rng):
 def _erm_errors(cfg, model, n, reps, rng):
     target = population_target(cfg, model)
     out = np.empty((reps, cfg.p))
+    failed = 0
     for r in range(reps):
         d = sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1)))
         report = fit_erm(d, model, init=target.copy(), tol=1e-8)
         out[r] = report.theta_hat - target
+        failed += not report.converged
+    if failed:
+        warnings.warn(f"{failed} of {reps} Newton fits did not converge at n = {n} "
+                      "and are averaged in as they stopped", RuntimeWarning)
     return out
 
 
@@ -255,7 +260,8 @@ def mc_moment_fit(
     At each n the estimator's error mean and second-moment matrix are
     averaged over ``reps`` replications, then a/n + b/n^2 laws are fitted by
     weighted least squares.  Emits a warning if the fit design is poorly
-    conditioned (n_grid too narrow).
+    conditioned (n_grid too narrow) and one for each n at which Newton fits
+    did not converge.
     """
     if n_grid is None:
         n_grid = [200 * cfg.p, 400 * cfg.p, 800 * cfg.p]

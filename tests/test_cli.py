@@ -140,6 +140,19 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--seed", "1"],
+    ["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "10", "--total-eps", "0.1",
+     "--threads", "2"],
+    ["wishart-check", "--reps", "1e4", "--p-grid", "1", "--threads", "2"],
+], ids=lambda argv: argv[0])
+def test_unread_options_are_not_accepted(tmp_path, capsys, argv):
+    # --seed and --threads exist only where a subcommand reads them
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_validation_errors_exit_one(tmp_path):
     out = tmp_path / "x.csv"
     # m does not divide N*... n-grid makes N = n*m so this passes; use bad eps

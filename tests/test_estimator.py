@@ -12,6 +12,7 @@ from splitavg import (
     ModelSpec,
     NoiseDist,
     RankError,
+    SingularHessianError,
     fit_closed,
     fit_closed_stacked,
     fit_erm,
@@ -104,6 +105,53 @@ def test_logistic_separable_hits_iteration_cap():
     report = fit_erm(Dataset(X, y), ModelSpec.logistic(), max_iter=60)
     assert not report.converged
     assert report.iterations == 60
+
+
+# fit_erm on _data(seed=11) (noiseless for logistic, sigma^2 = 1 for the exp
+# link) as (iterations, converged, theta_hat), frozen from the two-pass
+# certificate loop the single-loop fit_erm replaced
+FROZEN_FITS = {
+    "logistic": (5, True, [0.19721596480212886, 0.4780904592845363,
+                           0.6555699776866637, 0.8716667464241812]),
+    "exp_nonlinear": (6, True, [0.23777334549064702, 0.5081999418574552,
+                                0.762011031237947, 0.9968673325211205]),
+}
+
+
+def _frozen_fit_data(link):
+    model = ModelSpec.logistic() if link == "logistic" else ModelSpec.nonlinear_ls()
+    d, _ = _data(sigma2=0.0 if link == "logistic" else 1.0, seed=11, link=link)
+    return d, model
+
+
+@pytest.mark.parametrize("link", sorted(FROZEN_FITS))
+def test_fit_erm_matches_frozen_fits(link):
+    d, model = _frozen_fit_data(link)
+    iterations, converged, theta = FROZEN_FITS[link]
+    report = fit_erm(d, model)
+    assert (report.iterations, report.converged) == (iterations, converged)
+    assert np.allclose(report.theta_hat, theta, rtol=1e-12, atol=0.0)
+
+
+def test_zero_iterations_still_certify():
+    # one certificate serves both exits: a converged start passes it with no
+    # step, a cold start at the cap fails it
+    d, model = _frozen_fit_data("logistic")
+    warm = fit_erm(d, model, init=fit_erm(d, model).theta_hat, max_iter=0)
+    assert (warm.iterations, warm.converged) == (0, True)
+    cold = fit_erm(d, model, init=np.zeros(d.p), max_iter=0)
+    assert (cold.iterations, cold.converged) == (0, False)
+
+
+def test_singular_hessian_raises_while_steps_remain():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 3))
+    X[:, 2] = 0.0
+    d = Dataset(X, X[:, 0] + rng.standard_normal(40))
+    with pytest.raises(SingularHessianError):
+        fit_erm(d, ModelSpec.ols())
+    report = fit_erm(d, ModelSpec.ols(), max_iter=0)
+    assert (report.iterations, report.converged) == (0, False)
 
 
 def test_rank_error_on_duplicate_columns():

@@ -10,6 +10,7 @@ from splitavg import (
     NoiseDist,
     QuadratureSpec,
     absolute_series,
+    expect_noise,
     expect_xi,
     loss_derivative,
     mse_ratio_exact,
@@ -17,7 +18,8 @@ from splitavg import (
     perturb_coeffs,
     solve_rc,
 )
-from splitavg.highdim import _absolute_residual_fn, _smooth_residual_fn
+from splitavg.highdim import _absolute_residual_fn, _eps_axis, _smooth_residual_fn
+from splitavg.planner import HighDimRegime, PlannerProblem, predicted_error
 
 GAUSS1 = NoiseDist.gaussian(1.0)
 
@@ -67,6 +69,36 @@ def test_expect_xi_adaptive_scheme_agrees():
         a = expect_xi(g, noise, 0.3)
         b = expect_xi(g, noise, 0.3, q)
         assert a == pytest.approx(b, rel=1e-7)
+
+
+_ADAPTIVE = QuadratureSpec(scheme="adaptive")
+_LAP = NoiseDist.laplace(2 ** -0.5)
+_ADAPTIVE_REJECTED = {
+    "expect_noise": lambda: expect_noise(lambda t: t * t, _LAP, _ADAPTIVE),
+    "solve_rc": lambda: solve_rc(LossSpec.pseudo_huber(3.0), _LAP, 0.2, _ADAPTIVE),
+    "solve_rc_absolute": lambda: solve_rc(LossSpec.absolute(), _LAP, 0.2, _ADAPTIVE),
+    "perturb_coeffs": lambda: perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP, _ADAPTIVE),
+    "absolute_series": lambda: absolute_series(_LAP, None, _ADAPTIVE),
+    "mse_ratio_exact": lambda: mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 10, _ADAPTIVE),
+    "planner": lambda: predicted_error(PlannerProblem(
+        "fixed_n", 1000, "absolute", 1.0,
+        HighDimRegime(LossSpec.squared(), _LAP, p=100, quadrature=_ADAPTIVE)), 2.0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ADAPTIVE_REJECTED))
+def test_adaptive_scheme_rejected_outside_expect_xi(entry):
+    # only expect_xi has an adaptive path; the rest would silently use panels
+    with pytest.raises(ConfigError, match="adaptive"):
+        _ADAPTIVE_REJECTED[entry]()
+
+
+@pytest.mark.parametrize("nodes", [16, 64])
+@pytest.mark.parametrize("noise", [NoiseDist.gaussian(10.0), _LAP], ids=["gauss10", "laplace"])
+def test_eps_axis_integrates_density_and_variance(noise, nodes):
+    t, w = _eps_axis(noise, QuadratureSpec(nodes=nodes))
+    assert w.sum() == pytest.approx(1.0, abs=1e-10)
+    assert w @ (t * t) == pytest.approx(noise.variance, abs=1e-10)
 
 
 def test_expect_xi_validation():
@@ -192,6 +224,13 @@ def test_absolute_series_scale_invariance_of_ratio():
     r1b, r2b = absolute_series(GAUSS1)
     assert r1a == pytest.approx(4 * r1b, rel=1e-3)
     assert r2a / r1a == pytest.approx(r2b / r1b, rel=1e-3)
+
+
+def test_absolute_series_ratio_does_not_depend_on_scale():
+    # solved at the default tol=1e-10 the two ratios differed by 1.2e-4
+    r1a, r2a = absolute_series(GAUSS1)
+    r1b, r2b = absolute_series(NoiseDist.gaussian(10.0))
+    assert r2b / r1b == pytest.approx(r2a / r1a, rel=1e-5)
 
 
 def test_absolute_series_squared_loss_consistency_path():

@@ -124,3 +124,12 @@ def test_mc_moment_fit_erm_path_matches_closed_form_path():
     # exp link with its own theory is not checked here; just shape/finite
     assert fit.mse_coeffs[0].shape == (2, 2)
     assert np.all(np.isfinite(fit.mse_coeffs[0]))
+
+
+def test_mc_moment_fit_warns_about_unconverged_fits():
+    # one NLS fit at n = 120 stops at the iteration cap with grad norm
+    # 1.2e-8 > 1e-8; it must not be averaged in silently
+    cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]),
+                           noise=NoiseDist.gaussian(10.0), link="exp_nonlinear")
+    with pytest.warns(RuntimeWarning, match=r"1 of 200 Newton fits did not converge at n = 120"):
+        mc_moment_fit(cfg, ModelSpec.nonlinear_ls(), n_grid=[60, 120, 240], reps=200, seed=1)
