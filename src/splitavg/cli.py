@@ -72,18 +72,23 @@ def _noise(args) -> NoiseDist:
     return NoiseDist.laplace(args.laplace_scale)
 
 
-def _int_list(text: str) -> list[int]:
+def _finite(text: str) -> float:
+    """Argument type for real numbers: nan, +-inf and non-numbers are usage errors."""
     try:
-        return [int(float(tok)) for tok in text.split(",") if tok.strip()]
+        value = float(text)
     except ValueError:
-        raise UsageError(f"expected a comma-separated integer list, got {text!r}")
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(_finite(tok)) for tok in text.split(",") if tok.strip()]
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated float list, got {text!r}")
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _fmt(x) -> str:
@@ -281,9 +286,9 @@ def _add_replications(p: argparse.ArgumentParser) -> None:
 
 def _add_noise(p: argparse.ArgumentParser, sigma2: float) -> None:
     p.add_argument("--noise", choices=("gaussian", "laplace"), default="gaussian")
-    p.add_argument("--sigma2", type=float, default=sigma2,
+    p.add_argument("--sigma2", type=_finite, default=sigma2,
                    help="gaussian noise variance")
-    p.add_argument("--laplace-scale", type=float, default=1.0)
+    p.add_argument("--laplace-scale", type=_finite, default=1.0)
 
 
 def build_parser() -> _Parser:
@@ -297,8 +302,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--n-grid", type=_int_list, default=[50, 200, 1000])
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--penalty", type=float, default=0.1)
-    p.add_argument("--theta-norm", type=float, default=1.0)
+    p.add_argument("--penalty", type=_finite, default=0.1)
+    p.add_argument("--theta-norm", type=_finite, default=1.0)
     _add_noise(p, sigma2=10.0)
     _add_replications(p)
     _add_common(p, "ratio_sweep.csv")
@@ -310,8 +315,8 @@ def build_parser() -> _Parser:
     p.add_argument("--N", type=int, default=20000)
     p.add_argument("--m-grid", type=_int_list, default=[10, 20, 40])
     p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--theta-norm", type=float, default=10.0)
+    p.add_argument("--penalty", type=_finite, default=1.0)
+    p.add_argument("--theta-norm", type=_finite, default=10.0)
     _add_noise(p, sigma2=2.0)
     _add_replications(p)
     _add_common(p, "bias_mse.csv")
@@ -319,22 +324,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("highdim-sweep", help="MSE ratio in the proportional regime")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
-    p.add_argument("--kappa", type=float, default=0.2)
+    p.add_argument("--kappa", type=_finite, default=0.2)
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--n-grid", type=_int_list, default=[250, 500])
     p.add_argument("--reps", type=int, default=300)
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--theta-norm", type=float, default=1.0)
+    p.add_argument("--penalty", type=_finite, default=1.0)
+    p.add_argument("--theta-norm", type=_finite, default=1.0)
     _add_noise(p, sigma2=1.0)
     _add_replications(p)
     _add_common(p, "highdim_sweep.csv")
     p.set_defaults(func=_run_highdim_sweep)
 
     p = sub.add_parser("table1", help="r2/r1 grid over losses and noise families")
-    p.add_argument("--delta", type=float, default=3.0)
-    p.add_argument("--sigma2", type=float, default=10.0,
+    p.add_argument("--delta", type=_finite, default=3.0)
+    p.add_argument("--sigma2", type=_finite, default=10.0,
                    help="gaussian noise variance for the smooth-loss rows")
-    p.add_argument("--laplace-scale", type=float, default=2 ** -0.5,
+    p.add_argument("--laplace-scale", type=_finite, default=2 ** -0.5,
                    help="laplace scale (default: unit variance)")
     p.add_argument("--kappa-grid", type=_float_list,
                    default=list(np.geomspace(1e-3, 8e-3, 5)),
@@ -345,27 +350,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="choose the machine count")
     p.add_argument("--mode", choices=("fixed-n", "fixed-N"), required=True)
-    p.add_argument("--n", type=lambda s: int(float(s)), default=None)
-    p.add_argument("--N", type=lambda s: int(float(s)), default=None)
+    p.add_argument("--n", type=lambda s: int(_finite(s)), default=None)
+    p.add_argument("--N", type=lambda s: int(_finite(s)), default=None)
     p.add_argument("--constraint", choices=("absolute", "relative"),
                    default="absolute")
-    p.add_argument("--total-eps", type=float, default=None)
-    p.add_argument("--per-coord-eps", type=float, default=None)
-    p.add_argument("--rel-eps", type=float, default=None)
+    p.add_argument("--total-eps", type=_finite, default=None)
+    p.add_argument("--per-coord-eps", type=_finite, default=None)
+    p.add_argument("--rel-eps", type=_finite, default=None)
     p.add_argument("--regime", choices=("fixed-p", "high-dim"), default="fixed-p")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--penalty", type=float, default=0.0)
-    p.add_argument("--theta-norm", type=float, default=1.0)
+    p.add_argument("--penalty", type=_finite, default=0.0)
+    p.add_argument("--theta-norm", type=_finite, default=1.0)
     p.add_argument("--loss", choices=("squared", "pseudo-huber", "absolute"),
                    default="squared")
-    p.add_argument("--delta", type=float, default=3.0)
+    p.add_argument("--delta", type=_finite, default=3.0)
     _add_noise(p, sigma2=1.0)
     _add_common(p, "plan.csv")
     p.set_defaults(func=_run_plan)
 
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
-    p.add_argument("--reps", type=lambda s: int(float(s)), default=1_000_000)
+    p.add_argument("--reps", type=lambda s: int(_finite(s)), default=1_000_000)
     p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, "wishart_check.csv")
@@ -412,10 +417,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, InfeasiblePlanError) as exc:
+    except (UsageError, ConfigError, InfeasiblePlanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, SplitAvgError) as exc:

@@ -105,10 +105,9 @@ def _risk(d: Dataset, model: ModelSpec, theta: np.ndarray) -> float:
 
 def _grad_hess(d: Dataset, model: ModelSpec, theta: np.ndarray):
     w1, w2 = _score_weights(d, model, theta)
-    n = d.n
-    grad = d.X.T @ w1 / n + model.penalty * theta
-    hess = (d.X.T * w2) @ d.X / n + model.penalty * np.eye(d.p)
-    return grad, hess
+    grad = d.X.T @ w1 / d.n + model.penalty * theta
+    hess = (d.X.T * w2) @ d.X / d.n + model.penalty * np.eye(d.p)
+    return grad, hess, w1
 
 
 def default_tol(n: int) -> float:
@@ -176,7 +175,7 @@ def fit_erm(
     while True:
         if trace is not None:
             trace.append(risk)
-        grad, hess = _grad_hess(d, model, theta)
+        grad, hess, _ = _grad_hess(d, model, theta)
         gnorm = float(np.linalg.norm(grad))
         try:
             direction, clean = _newton_direction(hess, grad, model.is_closed_form)
@@ -251,15 +250,6 @@ def population_target(gen: GenerativeConfig, model: ModelSpec) -> np.ndarray:
     return gen.theta0
 
 
-def per_sample_gradients(d: Dataset, model: ModelSpec, theta: np.ndarray) -> np.ndarray:
-    """n x p matrix whose i-th row is the gradient of the i-th loss term."""
-    w1, _ = _score_weights(d, model, theta)
-    grads = d.X * w1[:, None]
-    if model.penalty:
-        grads = grads + model.penalty * theta[None, :]
-    return grads
-
-
 def sandwich_covariance(d: Dataset, theta_hat: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Plug-in asymptotic covariance of sqrt(n) (theta_hat - theta*).
 
@@ -267,8 +257,10 @@ def sandwich_covariance(d: Dataset, theta_hat: np.ndarray, model: ModelSpec) -> 
     Divide by n for standard errors of theta_hat itself.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    _, hess = _grad_hess(d, model, theta_hat)
-    grads = per_sample_gradients(d, model, theta_hat)
+    _, hess, w1 = _grad_hess(d, model, theta_hat)
+    grads = d.X * w1[:, None]  # row i: gradient of the i-th loss term
+    if model.penalty:
+        grads = grads + model.penalty * theta_hat[None, :]
     meat = grads.T @ grads / d.n
     try:
         cf = scipy.linalg.cho_factor(hess, check_finite=False)

@@ -35,6 +35,8 @@ class GammaSet:
     def __post_init__(self):
         delta = np.asarray(self.delta, dtype=float)
         p = delta.shape[0]
+        if p < 1:
+            raise ConfigError("p must be >= 1")
         object.__setattr__(self, "delta", delta)
         for name in ("gamma0", "gamma1", "gamma2", "gamma3", "gamma4"):
             g = np.asarray(getattr(self, name), dtype=float)

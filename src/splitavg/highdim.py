@@ -57,6 +57,17 @@ def _gauss_quadrature(q: QuadratureSpec | None) -> QuadratureSpec:
     return q
 
 
+def _noise_law(noise: NoiseDist, q: QuadratureSpec):
+    """Density of eps (called at |t|) and the panel edges on [0, truncation]."""
+    if noise.kind == "gaussian":
+        sd = math.sqrt(noise.param)
+        edges = np.concatenate([[0.0], np.geomspace(0.05, 10.0, 20)]) * sd
+        return (lambda t: np.exp(-0.5 * (t / sd) ** 2) / (sd * _SQRT2 * _SQRTPI)), edges
+    scale = noise.param
+    edges = np.concatenate([[0.0], np.geomspace(0.02, q.laplace_truncation, 20)]) * scale
+    return (lambda t: np.exp(-t / scale) / (2.0 * scale)), edges
+
+
 @lru_cache(maxsize=32)
 def _eps_axis(noise: NoiseDist, q: QuadratureSpec):
     """Nodes/weights for E[g(eps)]: mirrored Gauss-Legendre panels times the density.
@@ -65,25 +76,15 @@ def _eps_axis(noise: NoiseDist, q: QuadratureSpec):
     real axis (pseudo-Huber derivatives have poles at +-i delta), where a
     single global Gauss rule under-converges.
     """
-    if noise.kind == "gaussian":
-        sd = math.sqrt(noise.param)
-        if sd == 0.0:
-            return np.zeros(1), np.ones(1)
-        edges = np.concatenate([[0.0], np.geomspace(0.05, 10.0, 20)]) * sd
-        density = lambda t: np.exp(-0.5 * (t / sd) ** 2) / (sd * _SQRT2 * _SQRTPI)
-    else:
-        scale = noise.param
-        edges = np.concatenate([[0.0], np.geomspace(0.02, q.laplace_truncation, 20)]) * scale
-        density = lambda t: np.exp(-t / scale) / (2.0 * scale)
+    if noise.param == 0.0:  # noiseless gaussian
+        return np.zeros(1), np.ones(1)
+    density, edges = _noise_law(noise, q)
     x, w = np.polynomial.legendre.leggauss(max(16, q.nodes // 4))
-    ts, ws = [], []
-    for sgn in (1.0, -1.0):
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            t = sgn * (mid + half * x)
-            ts.append(t)
-            ws.append(half * w * density(np.abs(t)))
-    return np.concatenate(ts), np.concatenate(ws)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a)
+    t = (0.5 * (a + b) + half * x).ravel()  # panel by panel on [0, truncation]
+    wt = (half * w).ravel() * density(t)
+    return np.concatenate([t, -t]), np.concatenate([wt, wt])
 
 
 @lru_cache(maxsize=32)
@@ -93,14 +94,18 @@ def _eta_axis(nodes: int):
     return _SQRT2 * x, w / _SQRTPI
 
 
+def _compound_grid(noise: NoiseDist, q: QuadratureSpec, r: float):
+    """Nodes of eps + r * eta and the weighted mean over them; one axis when r = 0."""
+    te, we = _eps_axis(noise, q)
+    if r == 0.0:
+        return te, lambda a: float(we @ a)
+    th, wh = _eta_axis(q.nodes)
+    return te[:, None] + r * th[None, :], lambda a: float(we @ a @ wh)
+
+
 def expect_noise(g, noise: NoiseDist, q: QuadratureSpec | None = None) -> float:
     """E[g(eps)] over the raw noise by single-axis quadrature."""
-    q = _gauss_quadrature(q)
-    t, w = _eps_axis(noise, q)
-    vals = np.asarray(g(t), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("integrand produced non-finite values")
-    return float(w @ vals)
+    return expect_xi(g, noise, 0.0, _gauss_quadrature(q))
 
 
 def expect_xi(g, noise: NoiseDist, r: float, q: QuadratureSpec | None = None) -> float:
@@ -114,15 +119,11 @@ def expect_xi(g, noise: NoiseDist, r: float, q: QuadratureSpec | None = None) ->
     q = q or DEFAULT_QUADRATURE
     if q.scheme == "adaptive":
         return _expect_xi_adaptive(g, noise, r, q)
-    if r == 0.0:
-        return expect_noise(g, noise, q)
-    te, we = _eps_axis(noise, q)
-    th, wh = _eta_axis(q.nodes)
-    z = te[:, None] + r * th[None, :]
+    z, mean = _compound_grid(noise, q, r)
     vals = np.asarray(g(z), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("integrand produced non-finite values")
-    return float(we @ vals @ wh)
+    return mean(vals)
 
 
 def _expect_xi_adaptive(g, noise, r, q):
@@ -135,17 +136,12 @@ def _expect_xi_adaptive(g, noise, r, q):
             return float(np.asarray(g(np.asarray([e])))[0])
         return float(np.asarray(g(e + r * th)) @ wh)
 
-    if noise.kind == "gaussian":
-        sd = math.sqrt(noise.param)
-        if sd == 0.0:
-            return inner(0.0)
-        val, _ = quad(lambda e: inner(e) * np.exp(-0.5 * (e / sd) ** 2) / (sd * _SQRT2 * _SQRTPI),
-                      -10 * sd, 10 * sd, limit=400)
-        return val
-    b = noise.param
-    hi = q.laplace_truncation * b
-    val, _ = quad(lambda e: inner(e) * np.exp(-abs(e) / b) / (2 * b),
-                  -hi, hi, points=[0.0], limit=400)
+    if noise.param == 0.0:  # noiseless gaussian
+        return inner(0.0)
+    # the density and truncation of the panels this path is the reference for
+    density, edges = _noise_law(noise, q)
+    val, _ = quad(lambda e: inner(e) * density(abs(e)), -edges[-1], edges[-1],
+                  points=[0.0], limit=400)
     return val
 
 
@@ -197,12 +193,13 @@ def perturb_coeffs(
                           "use absolute_series for the absolute loss")
     if b2_sign not in (-1, 1):
         raise ConfigError("b2_sign must be -1 or +1")
-    f = [None] + [(lambda t, k=k: derivative_array(loss, t, k)) for k in range(1, 5)]
-    a2 = expect_noise(f[2], noise, q)
-    a4 = expect_noise(lambda t: 0.5 * f[4](t), noise, q)
-    t1 = expect_noise(lambda t: f[2](t) ** 2 + f[1](t) * f[3](t), noise, q)
-    b1 = expect_noise(lambda t: f[1](t) ** 2, noise, q)
-    b2 = expect_noise(lambda t: f[1](t) ** 2 * f[2](t), noise, q)
+    t, mean = _compound_grid(noise, _gauss_quadrature(q), 0.0)
+    f1, f2, f3, f4 = (derivative_array(loss, t, k) for k in range(1, 5))
+    a2 = mean(f2)
+    a4 = mean(0.5 * f4)
+    t1 = mean(f2 ** 2 + f1 * f3)
+    b1 = mean(f1 ** 2)
+    b2 = mean(f1 ** 2 * f2)
     if a2 <= 0:
         raise DegenerateLossError(f"E[f''(eps)] = {a2} is not positive")
     c1 = 1.0 / a2
@@ -274,6 +271,7 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
 
     b = noise.param
     te, we = _eps_axis(noise, q)
+    density = _noise_law(noise, q)[0]
 
     def residuals(c, rho, kappa):
         r = math.sqrt(rho) if rho > 0 else 0.0
@@ -281,7 +279,7 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
             e_dprox = float(we @ (np.abs(te) > c))
             e_min = float(we @ np.minimum(te * te, c * c))
             # r -> 0 limits, from the Laplace density p_c at +-c
-            p_c = math.exp(-c / b) / (2.0 * b)
+            p_c = density(c)
             d_dprox = [-2.0 * p_c, p_c / b]
             d_min_rho = 1.0 - e_dprox - 2.0 * c * p_c
         else:
@@ -309,17 +307,12 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
     E[h'(z) eta] / (2 sqrt(rho)); at rho = 0 (one axis) it is Stein's lemma,
     E[h''(eps)] / 2.
     """
-    te, we = _eps_axis(noise, q)
+    we = _eps_axis(noise, q)[1]
     th, wh = _eta_axis(q.nodes)
     wh_eta = wh * th
 
     def residuals(c, rho, kappa):
-        if rho > 0:
-            z = te[:, None] + math.sqrt(rho) * th[None, :]
-            mean = lambda a: float(we @ a @ wh)
-        else:
-            z = te
-            mean = lambda a: float(we @ a)
+        z, mean = _compound_grid(noise, q, math.sqrt(rho))
         prox, dprox = prox_array(loss, c, z)
         gap = z - prox
         del z  # the node arrays are large; keep few of them alive at once
@@ -376,8 +369,10 @@ def solve_rc(
     if not 0.0 < kappa < 1.0:
         raise ConfigError("kappa must be in (0, 1)")
     q = _gauss_quadrature(q)
-    fn = (_smooth_residual_fn if loss.is_smooth else _absolute_residual_fn)(
-        *((loss, noise, q) if loss.is_smooth else (noise, q)))
+    if loss.is_smooth:
+        fn = _smooth_residual_fn(loss, noise, q)
+    else:
+        fn = _absolute_residual_fn(noise, q)
     x = np.array(_series_init(loss, noise, kappa, q), dtype=float)
     f, jac = fn(x[0], x[1], kappa)
     trace = [float(np.linalg.norm(f))]
@@ -444,8 +439,6 @@ def mse_ratio_exact(loss: LossSpec, noise: NoiseDist, kappa: float, m: int,
     """
     if m < 1:
         raise ConfigError("m must be >= 1")
-    if m == 1:
-        return 1.0
     top = solve_rc(loss, noise, kappa, q).r_squared / m
     bottom = solve_rc(loss, noise, kappa / m, q).r_squared
     return error_ratio(top, bottom)

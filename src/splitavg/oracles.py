@@ -46,8 +46,8 @@ class WishartIdentity:
             raise ConfigError(f"unknown identity {self.id!r}")
         B = np.asarray(self.B, dtype=float)
         sigma = np.asarray(self.sigma, dtype=float)
-        if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ConfigError("B must be square")
+        if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
+            raise ConfigError("B must be square with p >= 1")
         if not np.allclose(B, B.T, atol=1e-12 * (1 + np.abs(B).max())):
             raise ConfigError("B must be symmetric")
         if sigma.shape != B.shape:

@@ -62,7 +62,7 @@ class PlannerProblem:
             raise ConfigError("mode must be fixed_n or fixed_N")
         if self.constraint not in ("absolute", "relative"):
             raise ConfigError("constraint must be absolute or relative")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError("eps must be > 0")
         if self.size < 1:
             raise ConfigError("size must be >= 1")
@@ -125,32 +125,22 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
 
     e1 = error(1.0)
     bound = prob.eps if prob.constraint == "absolute" else (1.0 + prob.eps) * e1
+    # fixed_n wants the least m under the bound (error falls with m), fixed_N the
+    # largest (error grows with m): double m up to the cap, then root-find.
     minimizing = prob.mode == "fixed_n"
-
-    if minimizing:
-        if e1 <= bound:
-            return PlannerResult(1, e1, False)
-        # error falls like 1/m with n fixed; bracket then root-find
-        lo, hi = 1.0, 2.0
-        while error(hi) > bound:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e12:
-                raise InfeasiblePlanError("error bound unreachable at any m",
-                                          error_at_one=e1)
-        m_star = brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
-        m = max(1, math.floor(m_star + 0.5))
-        return PlannerResult(m, error(m), True)
-
-    # fixed_N: error grows with m (second-order and high-dim regimes)
-    if e1 > bound:
+    if minimizing and e1 <= bound:
+        return PlannerResult(1, e1, False)
+    if not minimizing and e1 > bound:
         raise InfeasiblePlanError(
             f"even a single machine exceeds the bound ({e1:.3e} > {bound:.3e})",
             error_at_one=e1)
     m_cap = _max_feasible_m(prob)
     lo, hi = 1.0, min(2.0, m_cap)
-    while hi < m_cap and error(hi) <= bound:
+    while hi < m_cap and (error(hi) > bound) == minimizing:
         lo, hi = hi, min(hi * 2.0, m_cap)
-    if error(hi) <= bound:
+    if (error(hi) > bound) == minimizing:  # not crossed below the cap
+        if minimizing:
+            raise InfeasiblePlanError("error bound unreachable at any m", error_at_one=e1)
         m = int(math.floor(hi))
         return PlannerResult(m, error(m), False)
     m_star = brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)

@@ -153,6 +153,38 @@ def test_unread_options_are_not_accepted(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+_PLAN_N = ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "100", "--sigma2", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["highdim-sweep", "--kappa", "nan"],
+    [*_PLAN_N, "--total-eps", "nan"],
+    [*_PLAN_N, "--constraint", "relative", "--rel-eps", "nan"],
+    ["ratio-sweep", "--sigma2", "nan", "--reps", "2"],
+    ["ratio-sweep", "--model", "ridge", "--penalty", "nan", "--reps", "2"],
+    ["ratio-sweep", "--noise", "laplace", "--laplace-scale", "inf", "--reps", "2"],
+    ["ratio-sweep", "--n-grid", "50,-inf", "--reps", "2"],
+    ["plan", "--mode", "fixed-n", "--n", "inf", "--p", "10", "--total-eps", "1"],
+    ["table1", "--kappa-grid", "0.001,0.002,nan,0.004"],
+], ids=["kappa", "total-eps", "rel-eps", "sigma2", "penalty", "laplace-scale", "n-grid", "n",
+        "kappa-grid"])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "error: argument --" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "0", "--total-eps", "1"],
+    ["bias-mse", "--p", "0", "--N", "100", "--m-grid", "2", "--reps", "2"],
+    ["wishart-check", "--reps", "1e4", "--p-grid", "0"],
+], ids=lambda argv: argv[0])
+def test_zero_dimension_exits_one(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
+    assert ">= 1" in capsys.readouterr().err
+
+
 def test_validation_errors_exit_one(tmp_path):
     out = tmp_path / "x.csv"
     # m does not divide N*... n-grid makes N = n*m so this passes; use bad eps

@@ -211,6 +211,24 @@ def test_sandwich_exactly_symmetric():
     assert np.array_equal(cov, cov.T)
 
 
+@pytest.mark.parametrize("model,link", [
+    (ModelSpec.ols(), "linear"), (ModelSpec.ridge(0.3), "linear"),
+    (ModelSpec.logistic(), "logistic"), (ModelSpec.nonlinear_ls(), "exp_nonlinear"),
+], ids=["ols", "ridge", "logistic", "nls"])
+def test_sandwich_takes_one_score_weight_pass(monkeypatch, model, link):
+    # the per-sample gradients reuse the Hessian pass's first-derivative weights
+    import splitavg.estimator as est
+
+    d, _ = _data(n=300, p=3, seed=9, link=link)
+    theta = fit_erm(d, model).theta_hat
+    calls = []
+    real = est._score_weights
+    monkeypatch.setattr(est, "_score_weights", lambda *a: calls.append(1) or real(*a))
+    cov = sandwich_covariance(d, theta, model)
+    assert len(calls) == 1
+    assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
 def test_wald_coverage_smoke():
     # small version of the full coverage criterion (acceptance runs 1000 reps)
     p, n, reps = 3, 400, 200

@@ -166,6 +166,9 @@ def test_gamma0_rank_and_symmetry(g):
 def test_gamma_set_validation():
     with pytest.raises(ConfigError):
         GammaSet(np.ones(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    empty = np.zeros((0, 0))
+    with pytest.raises(ConfigError, match="p must be >= 1"):
+        GammaSet(np.zeros(0), empty, empty, empty, empty, empty)
 
 
 # --- Monte-Carlo oracle agreement -----------------------------------------

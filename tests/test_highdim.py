@@ -80,6 +80,7 @@ _ADAPTIVE_REJECTED = {
     "perturb_coeffs": lambda: perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP, _ADAPTIVE),
     "absolute_series": lambda: absolute_series(_LAP, None, _ADAPTIVE),
     "mse_ratio_exact": lambda: mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 10, _ADAPTIVE),
+    "mse_ratio_exact_m1": lambda: mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 1, _ADAPTIVE),
     "planner": lambda: predicted_error(PlannerProblem(
         "fixed_n", 1000, "absolute", 1.0,
         HighDimRegime(LossSpec.squared(), _LAP, p=100, quadrature=_ADAPTIVE)), 2.0),
@@ -278,6 +279,8 @@ def test_mse_ratio_exact_squared():
     ratio = mse_ratio_exact(LossSpec.squared(), GAUSS1, 0.2, 10)
     assert ratio == pytest.approx((1 - 0.02) / (1 - 0.2), rel=1e-6)
     assert mse_ratio_exact(LossSpec.squared(), GAUSS1, 0.3, 1) == 1.0
+    with pytest.raises(ConfigError, match="kappa"):  # m = 1 is validated like any m
+        mse_ratio_exact(LossSpec.squared(), GAUSS1, 5.0, 1)
 
 
 def test_mse_ratio_exact_close_to_first_order_at_small_kappa():
@@ -360,3 +363,14 @@ def test_solve_rc_contains_no_finite_differences():
     assert max(abs(r) for r in sol.residuals) <= 1e-10
     assert len(calls) <= 6
     assert len(set(calls)) == len(calls)  # no repeated or nudged evaluations
+
+
+def test_perturb_coeffs_evaluates_each_derivative_once(monkeypatch):
+    import splitavg.highdim as hd
+
+    orders = []
+    real = hd.derivative_array
+    monkeypatch.setattr(hd, "derivative_array",
+                        lambda loss, t, k: orders.append(k) or real(loss, t, k))
+    perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)
+    assert orders == [1, 2, 3, 4]

@@ -36,6 +36,8 @@ def test_identity_validation():
         WishartIdentity("E_SBS", np.eye(2), np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(ConfigError):
         WishartIdentity("E_XYZ", np.eye(2), np.eye(2))
+    with pytest.raises(ConfigError, match="p >= 1"):
+        WishartIdentity("E_S", np.eye(0), np.zeros((0, 0)))
     with pytest.raises(ConfigError):
         wishart_check(WishartIdentity("E_S", np.eye(2), np.eye(2)), reps=100, seed=0)
 

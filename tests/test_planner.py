@@ -144,16 +144,31 @@ def test_problem_validation():
     with pytest.raises(ConfigError):
         PlannerProblem(mode="fixed_n", size=10, constraint="absolute", eps=-1.0,
                        regime=FixedPRegime(gam))
+    with pytest.raises(ConfigError, match="eps"):
+        PlannerProblem(mode="fixed_n", size=10, constraint="absolute", eps=float("nan"),
+                       regime=FixedPRegime(gam))
     prob = ols_problem("fixed_n", 100, 1.0)
     with pytest.raises(ConfigError):
         predicted_error(prob, 0)
 
 
-@pytest.mark.parametrize("mode,size,constraint,eps", [
-    ("fixed_n", 10 ** 4, "absolute", 2e-3),
-    ("fixed_N", 10 ** 6, "absolute", 2e-3),
-    ("fixed_N", 10 ** 6, "relative", 0.1),
-])
+# predicted_error's arguments for the C4 problems, frozen before the two
+# search modes were merged into one doubling-then-brentq loop
+C4_PROBES = {
+    ("fixed_n", 10 ** 4, "absolute", 2e-3): [
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 55.44955944955945, 50.02091588654136,
+        50.55239298440917, 50.50545425583294, 50.50499999591432, 50.50500000000004,
+        50.50499999949979, 51.0],
+    ("fixed_N", 10 ** 6, "absolute", 2e-3): [
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
+        4096.0, 8192.0, 16384.0, 9900.990099009896, 9900.990099010445, 9901.0],
+    ("fixed_N", 10 ** 6, "relative", 0.1): [
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
+        991.1990099009861, 991.1990099004811, 991.0],
+}
+
+
+@pytest.mark.parametrize("mode,size,constraint,eps", list(C4_PROBES))
 def test_choose_m_predicts_each_machine_count_once(monkeypatch, mode, size, constraint, eps):
     from splitavg import planner
 
@@ -170,3 +185,14 @@ def test_choose_m_predicts_each_machine_count_once(monkeypatch, mode, size, cons
     assert result.m in (51, 9901, 990, 991)
     assert len(set(probed)) == len(probed)
     assert probed.count(1.0) == 1
+    assert probed == pytest.approx(C4_PROBES[mode, size, constraint, eps], rel=1e-12, abs=0)
+
+
+def test_fixed_n_root_between_last_doubling_and_cap():
+    # the root 8e11 lies in (2^39, 1e12]: the search must test the cap itself
+    prob = PlannerProblem("fixed_n", 1, "absolute", 3.75e-12,
+                          FixedPRegime(ols_gammas(None, 1.0, 1)))
+    result = choose_m(prob)
+    assert result.m == 8 * 10 ** 11
+    assert result.binding
+    assert result.achieved_error == pytest.approx(3.75e-12, rel=1e-9)
