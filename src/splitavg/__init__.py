@@ -26,6 +26,7 @@ from .estimator import (
     fit_closed,
     fit_closed_stacked,
     fit_erm,
+    fit_erm_stacked,
     population_target,
     ridge_population_target,
     sandwich_covariance,

@@ -83,8 +83,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """Argument type for integers, also in float notation (1e6); fractions are usage errors."""
+    value = _finite(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
 def _int_list(text: str) -> list[int]:
-    return [int(_finite(tok)) for tok in text.split(",") if tok.strip()]
+    return [_integer(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _float_list(text: str) -> list[float]:
@@ -312,7 +320,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bias-mse", help="bias and MSE vs theory along m")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
     p.add_argument("--p", type=int, default=20)
-    p.add_argument("--N", type=int, default=20000)
+    p.add_argument("--N", type=_integer, default=20000)
     p.add_argument("--m-grid", type=_int_list, default=[10, 20, 40])
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--penalty", type=_finite, default=1.0)
@@ -350,8 +358,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plan", help="choose the machine count")
     p.add_argument("--mode", choices=("fixed-n", "fixed-N"), required=True)
-    p.add_argument("--n", type=lambda s: int(_finite(s)), default=None)
-    p.add_argument("--N", type=lambda s: int(_finite(s)), default=None)
+    p.add_argument("--n", type=_integer, default=None)
+    p.add_argument("--N", type=_integer, default=None)
     p.add_argument("--constraint", choices=("absolute", "relative"),
                    default="absolute")
     p.add_argument("--total-eps", type=_finite, default=None)
@@ -370,7 +378,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_run_plan)
 
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
-    p.add_argument("--reps", type=lambda s: int(_finite(s)), default=1_000_000)
+    p.add_argument("--reps", type=_integer, default=1_000_000)
     p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, "wishart_check.csv")

@@ -30,7 +30,15 @@ class ProxFailureError(NumericalError):
 
 
 class SingularHessianError(NumericalError):
-    """Hessian (or normal-equations matrix) is numerically singular."""
+    """Hessian (or normal-equations matrix) is numerically singular.
+
+    From a stacked Newton fit, ``reports`` holds the fits of the slices
+    below the lowest singular one.
+    """
+
+    def __init__(self, message, reports=()):
+        super().__init__(message)
+        self.reports = list(reports)
 
 
 class RankError(SingularHessianError):

@@ -1,7 +1,9 @@
 """Per-machine empirical risk minimization.
 
-Generic damped-Newton ERM for the smooth model families, closed-form OLS and
-ridge, population targets, and the plug-in sandwich covariance.
+Generic damped-Newton ERM for the smooth model families (one loop that fits a
+stack of equal-size datasets in lockstep), closed-form OLS and ridge on one
+direct-LAPACK Cholesky kernel, population targets, and the plug-in sandwich
+covariance.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, RankError, SingularHessianError
 from .losses import LossSpec, derivative_array
@@ -74,39 +76,51 @@ class FitReport:
     converged: bool
 
 
-def _link(d: Dataset, model: ModelSpec, s: np.ndarray):
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i . b_i over the leading axes, one BLAS dot per row as in ``a_i @ b_i``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _predict(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Linear predictors X theta of a design or of a stack of designs."""
+    return (X @ theta[..., None])[..., 0]
+
+
+def _link(y: np.ndarray, model: ModelSpec, s: np.ndarray):
     """Loss argument t at the linear predictor s, with dt/ds and d2t/ds2."""
     if model.link == "linear":
-        return d.y - s, -1.0, 0.0
+        return y - s, -1.0, 0.0
     if model.link == "exp_nonlinear":
         mu = np.exp(s)
-        return d.y - mu, -mu, -mu
-    yy = 2.0 * d.y - 1.0  # logistic link, margin form with labels in {-1, +1}
+        return y - mu, -mu, -mu
+    yy = 2.0 * y - 1.0  # logistic link, margin form with labels in {-1, +1}
     return yy * s, yy, 0.0
 
 
-def _score_weights(d: Dataset, model: ModelSpec, theta: np.ndarray):
+def _score_weights(X: np.ndarray, y: np.ndarray, model: ModelSpec, theta: np.ndarray):
     """Weights (w1, w2) with grad = X' w1 / n + pen' and hess = X' diag(w2) X / n + pen''."""
-    t, dt, d2t = _link(d, model, d.X @ theta)
+    t, dt, d2t = _link(y, model, _predict(X, theta))
     f1 = derivative_array(model.loss, t, 1)
     return f1 * dt, derivative_array(model.loss, t, 2) * dt * dt + f1 * d2t
 
 
-def _risk(d: Dataset, model: ModelSpec, theta: np.ndarray) -> float:
+def _risk(X: np.ndarray, y: np.ndarray, model: ModelSpec, theta: np.ndarray) -> np.ndarray:
     # Exploratory line-search points may overflow the exp link; map any
     # non-finite value to +inf so they are rejected, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        t = _link(d, model, d.X @ theta)[0]
-        total = float(np.mean(derivative_array(model.loss, t, 0)))
-    pen = 0.5 * model.penalty * float(theta @ theta)
-    risk = total + pen
-    return risk if np.isfinite(risk) else np.inf
+        t = _link(y, model, _predict(X, theta))[0]
+        total = np.mean(derivative_array(model.loss, t, 0), axis=-1)
+        risk = total + 0.5 * model.penalty * _dot(theta, theta)
+    return np.where(np.isfinite(risk), risk, np.inf)
 
 
-def _grad_hess(d: Dataset, model: ModelSpec, theta: np.ndarray):
-    w1, w2 = _score_weights(d, model, theta)
-    grad = d.X.T @ w1 / d.n + model.penalty * theta
-    hess = (d.X.T * w2) @ d.X / d.n + model.penalty * np.eye(d.p)
+def _grad_hess(X: np.ndarray, y: np.ndarray, model: ModelSpec, theta: np.ndarray):
+    """Gradient, Hessian and first-derivative score weights, per slice of a stack."""
+    w1, w2 = _score_weights(X, y, model, theta)
+    n, p = X.shape[-2:]
+    xt = np.swapaxes(X, -1, -2)
+    grad = (xt @ w1[..., None])[..., 0] / n + model.penalty * theta
+    hess = (xt * w2[..., None, :]) @ X / n + model.penalty * np.eye(p)
     return grad, hess, w1
 
 
@@ -115,34 +129,158 @@ def default_tol(n: int) -> float:
     return min(1e-10, 1.0 / (n * n))
 
 
-def _default_init(d: Dataset, model: ModelSpec) -> np.ndarray:
+def _default_init(X: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
+    p = X.shape[1]
     if model.link == "exp_nonlinear":
-        pos = d.y > 0
-        if int(pos.sum()) >= d.p:
+        pos = y > 0
+        if int(pos.sum()) >= p:
             try:
-                return fit_closed(Dataset(d.X[pos], np.log(d.y[pos])), 0.0)
+                return fit_closed(Dataset(X[pos], np.log(y[pos])), 0.0)
             except RankError:
                 pass
-    return np.zeros(d.p)
+    return np.zeros(p)
 
 
-def _newton_direction(hess: np.ndarray, grad: np.ndarray, quadratic: bool):
-    """Newton step; the second return marks a clean (unshifted) factorization."""
-    try:
-        cf = scipy.linalg.cho_factor(hess, check_finite=False)
-        return scipy.linalg.cho_solve(cf, -grad, check_finite=False), True
-    except (scipy.linalg.LinAlgError, ValueError):
-        if quadratic:
-            raise SingularHessianError("Hessian is numerically singular") from None
-    # Non-quadratic objectives: Levenberg-style shift until factorizable.
-    tau = 1e-8 * max(1.0, float(np.max(np.abs(np.diag(hess)))))
-    for _ in range(40):
-        try:
-            cf = scipy.linalg.cho_factor(hess + tau * np.eye(hess.shape[0]), check_finite=False)
-            return scipy.linalg.cho_solve(cf, -grad, check_finite=False), False
-        except (scipy.linalg.LinAlgError, ValueError):
-            tau *= 10.0
-    raise SingularHessianError("Hessian is numerically singular")
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[idx] for ascending unique indices, without a copy when they take every row."""
+    return a if idx.size == len(a) else a[idx]
+
+
+def _cho_solve_stack(a: np.ndarray, b: np.ndarray):
+    """Solve a_i x_i = b_i by Cholesky for each slice of a stack of SPD systems.
+
+    ``a`` has shape (k, p, p) and ``b`` shape (k, p) or (k, p, r).  Each
+    slice gets LAPACK's ``dpotrf`` (upper factor) and ``dpotrs``, the calls
+    ``scipy.linalg.cho_factor``/``cho_solve`` make for a lone 2-D system,
+    so a slice equals that solve bitwise.  Returns the solutions and the
+    mask of slices that factored; the others are left at zero.  Never raises
+    for a matrix that does not factor.
+    """
+    x = np.zeros(b.shape)
+    ok = np.zeros(len(a), dtype=bool)
+    for i, (a_i, b_i) in enumerate(zip(a, b)):
+        c, info = dpotrf(a_i, lower=0, clean=0)
+        if info == 0:
+            x[i] = dpotrs(c, b_i, lower=0)[0]
+            ok[i] = True
+    return x, ok
+
+
+def fit_erm_stacked(
+    X: np.ndarray,
+    y: np.ndarray,
+    model: ModelSpec,
+    init: np.ndarray | None = None,
+    tol: float | None = None,
+    max_iter: int = _MAX_ITER,
+    trace: list | None = None,
+) -> list[FitReport]:
+    """Damped Newton with Armijo backtracking on each slice of a stack, in lockstep.
+
+    ``X`` has shape (k, n, p) and ``y`` shape (k, n); ``init`` is one start,
+    shape (p,), or one per slice, (k, p).  Each slice keeps its own Newton
+    step, shifts, certificate and step length, and stops on its own, so its
+    ``FitReport`` equals its own ``fit_erm`` bitwise.  A slice converges when
+    its gradient norm is at most ``tol`` (default ``min(1e-10, n^-2)``), its
+    Hessian factors without a shift and its Newton step is below
+    ``1e-6 (1 + |theta|)``.  The iteration cap or a failed line search stops
+    it with ``converged=False`` (logistic fits on separable data
+    legitimately never converge).  A Hessian that does not factor while
+    steps remain (for a non-quadratic objective: not even after 40 growing
+    Levenberg shifts) raises ``SingularHessianError`` once every slice has
+    stopped; its ``reports`` are the fits of the slices below the lowest
+    such slice.  ``trace`` receives, at the start of every pass, the
+    risks of the slices still running.
+    """
+    if not model.loss.is_smooth:
+        raise ConfigError("fit_erm requires a smooth loss")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 3 or y.shape != X.shape[:2]:
+        raise ConfigError("X must be k x n x p and y k x n")
+    k, n, p = X.shape
+    if tol is None:
+        tol = default_tol(n)
+    if tol <= 0:
+        raise ConfigError("tol must be > 0")
+    if init is None:
+        theta = np.array([_default_init(X_i, y_i, model) for X_i, y_i in zip(X, y)])
+        theta = theta.reshape(k, p)  # also for an empty stack
+    else:
+        theta = np.array(init, dtype=float)
+        if theta.shape not in ((p,), (k, p)):
+            raise ConfigError(f"init must have shape ({p},) or ({k}, {p})")
+        theta = np.broadcast_to(theta, (k, p)).copy()
+    risk = _risk(X, y, model, theta)
+    reports: list = [None] * k
+    singular = []
+    running = np.ones(k, dtype=bool)
+    act = np.arange(k)  # the running slices, in slice order
+    iterations = 0  # every running slice has taken this many steps
+    while act.size:
+        if trace is not None:
+            trace.extend(risk[act].tolist())
+        Xa, ya = _rows(X, act), _rows(y, act)
+        th, risk_a = theta[act], risk[act]
+        grad, hess, _ = _grad_hess(Xa, ya, model, th)
+        gnorm = np.sqrt(_dot(grad, grad))
+        direction, clean = _cho_solve_stack(hess, -grad)
+        factored = clean.copy()
+        if not model.is_closed_form:
+            # Non-quadratic objectives: Levenberg-style shift until factorizable.
+            shift = np.flatnonzero(~clean)
+            diag = np.abs(np.diagonal(hess[shift], axis1=-2, axis2=-1))
+            tau = 1e-8 * np.fmax(1.0, np.max(diag, axis=-1))
+            for _ in range(40):
+                if not shift.size:
+                    break
+                x, ok = _cho_solve_stack(hess[shift] + tau[:, None, None] * np.eye(p),
+                                         -grad[shift])
+                direction[shift[ok]] = x[ok]
+                factored[shift[ok]] = True
+                shift, tau = shift[~ok], 10.0 * tau[~ok]
+        # A small gradient alone is not a minimizer certificate: on separable
+        # logistic data the risk is exponentially flat and the (shifted)
+        # Newton step underflows while no finite minimizer exists.  Require a
+        # cleanly factorizable Hessian and a small Newton step as well.
+        step_ok = np.sqrt(_dot(direction, direction)) <= 1e-6 * (1.0 + np.sqrt(_dot(th, th)))
+        converged = (gnorm <= tol) & clean & step_ok
+
+        def stop(i):
+            running[act[i]] = False
+            reports[act[i]] = FitReport(th[i].copy(), float(gnorm[i]), iterations,
+                                        bool(converged[i]))
+
+        capped = iterations >= max_iter
+        if not capped:
+            singular.extend(act[~factored].tolist())
+            running[act[~factored]] = False
+        for i in np.flatnonzero(running[act] & (converged | capped)):
+            stop(i)
+        search = np.flatnonzero(running[act])
+        slope = _dot(grad, direction)
+        ascent = slope >= 0  # not a descent direction; fall back to steepest descent
+        direction[ascent] = -grad[ascent]
+        slope[ascent] = -gnorm[ascent] * gnorm[ascent]
+        step = np.ones(act.size)
+        for _ in range(60):
+            if not search.size:
+                break
+            cand = th[search] + step[search, None] * direction[search]
+            cand_risk = _risk(_rows(Xa, search), _rows(ya, search), model, cand)
+            accept = cand_risk <= risk_a[search] + _ARMIJO_C1 * step[search] * slope[search]
+            theta[act[search[accept]]] = cand[accept]
+            risk[act[search[accept]]] = cand_risk[accept]
+            search = search[~accept]
+            step[search] *= _ARMIJO_BETA
+        for i in search:  # line search exhausted
+            stop(i)
+        act = np.flatnonzero(running)
+        iterations += 1
+    if singular:
+        raise SingularHessianError("Hessian is numerically singular",
+                                   reports=reports[:min(singular)])
+    return reports
 
 
 def fit_erm(
@@ -153,68 +291,20 @@ def fit_erm(
     max_iter: int = _MAX_ITER,
     trace: list | None = None,
 ) -> FitReport:
-    """Minimize the empirical risk by damped Newton with Armijo backtracking.
+    """Minimize the empirical risk of one dataset: ``fit_erm_stacked`` on one slice.
 
-    Stops when the gradient norm drops below ``tol`` (default
-    ``min(1e-10, n^-2)``).  Hitting the iteration cap or a failed line search
-    returns ``converged=False`` rather than raising; callers decide (logistic
-    fits on separable data legitimately never converge).  A singular Hessian
-    raises ``SingularHessianError`` unless the cap has been reached.
+    ``trace``, if given, receives the risk at the start of every pass.
     """
-    if not model.loss.is_smooth:
-        raise ConfigError("fit_erm requires a smooth loss")
-    if tol is None:
-        tol = default_tol(d.n)
-    if tol <= 0:
-        raise ConfigError("tol must be > 0")
-    theta = np.array(_default_init(d, model) if init is None else init, dtype=float)
-    if theta.shape != (d.p,):
-        raise ConfigError(f"init must have shape ({d.p},)")
-    risk = _risk(d, model, theta)
-    iterations = 0
-    while True:
-        if trace is not None:
-            trace.append(risk)
-        grad, hess, _ = _grad_hess(d, model, theta)
-        gnorm = float(np.linalg.norm(grad))
-        try:
-            direction, clean = _newton_direction(hess, grad, model.is_closed_form)
-        except SingularHessianError:
-            if iterations < max_iter:
-                raise
-            return FitReport(theta, gnorm, iterations, False)
-        # A small gradient alone is not a minimizer certificate: on separable
-        # logistic data the risk is exponentially flat and the (shifted)
-        # Newton step underflows while no finite minimizer exists.  Require a
-        # cleanly factorizable Hessian and a small Newton step as well.
-        step_ok = float(np.linalg.norm(direction)) <= 1e-6 * (1.0 + float(np.linalg.norm(theta)))
-        converged = gnorm <= tol and clean and step_ok
-        if converged or iterations >= max_iter:
-            return FitReport(theta, gnorm, iterations, converged)
-        slope = float(grad @ direction)
-        if slope >= 0:  # not a descent direction; fall back to steepest descent
-            direction = -grad
-            slope = -gnorm * gnorm
-        step = 1.0
-        for _ in range(60):
-            cand = theta + step * direction
-            cand_risk = _risk(d, model, cand)
-            if cand_risk <= risk + _ARMIJO_C1 * step * slope:
-                break
-            step *= _ARMIJO_BETA
-        else:
-            return FitReport(theta, gnorm, iterations, False)
-        theta, risk = cand, cand_risk
-        iterations += 1
+    return fit_erm_stacked(d.X[None], d.y[None], model, init, tol, max_iter, trace)[0]
 
 
 def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
     """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs.
 
     ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
-    (..., p).  Every system gets the LAPACK calls of a lone 2-D solve, so a
-    slice of the stack equals its own fit bitwise.  Any singular system raises
-    ``RankError``.
+    (..., p).  Every system gets the LAPACK calls of a lone 2-D solve
+    (``_cho_solve_stack``), so a slice of the stack equals its own fit
+    bitwise.  Any singular system raises ``RankError``.
     """
     if penalty < 0:
         raise ConfigError("penalty must be >= 0")
@@ -222,12 +312,10 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     xt = np.swapaxes(X, -1, -2)
     a = xt @ X / n + penalty * np.eye(p)
     b = xt @ y[..., None] / n
-    try:
-        # upper factors; on a stack the returned lower flag is one per system
-        cf, _ = scipy.linalg.cho_factor(a, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise RankError("normal equations are singular (rank-deficient design)") from None
-    return scipy.linalg.cho_solve((cf, False), b, check_finite=False)[..., 0]
+    theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
+    if not ok.all():
+        raise RankError("normal equations are singular (rank-deficient design)")
+    return theta.reshape(a.shape[:-1])
 
 
 def fit_closed(d: Dataset, penalty: float = 0.0) -> np.ndarray:
@@ -257,15 +345,13 @@ def sandwich_covariance(d: Dataset, theta_hat: np.ndarray, model: ModelSpec) -> 
     Divide by n for standard errors of theta_hat itself.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
-    _, hess, w1 = _grad_hess(d, model, theta_hat)
+    _, hess, w1 = _grad_hess(d.X, d.y, model, theta_hat)
     grads = d.X * w1[:, None]  # row i: gradient of the i-th loss term
     if model.penalty:
         grads = grads + model.penalty * theta_hat[None, :]
     meat = grads.T @ grads / d.n
-    try:
-        cf = scipy.linalg.cho_factor(hess, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError):
-        raise SingularHessianError("empirical Hessian is singular") from None
-    out = scipy.linalg.cho_solve(cf, scipy.linalg.cho_solve(cf, meat, check_finite=False).T,
-                                 check_finite=False)
+    c, info = dpotrf(hess, lower=0, clean=0)  # one factor, two solves
+    if info != 0:
+        raise SingularHessianError("empirical Hessian is singular")
+    out = dpotrs(c, dpotrs(c, meat, lower=0)[0].T, lower=0)[0]
     return (out + out.T) / 2.0

@@ -30,10 +30,10 @@ class NoiseDist:
     def __post_init__(self):
         if self.kind not in ("gaussian", "laplace"):
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.param < 0:
-            raise ConfigError("gaussian variance must be >= 0")
-        if self.kind == "laplace" and self.param <= 0:
-            raise ConfigError("laplace scale must be > 0")
+        if self.kind == "gaussian" and not 0 <= self.param < np.inf:
+            raise ConfigError("gaussian variance must be finite and >= 0")
+        if self.kind == "laplace" and not 0 < self.param < np.inf:
+            raise ConfigError("laplace scale must be finite and > 0")
 
     @property
     def variance(self) -> float:
@@ -158,23 +158,25 @@ def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
     return Dataset(X, y)
 
 
-def split_uniform(d: Dataset, m: int, seed: int) -> list[Dataset]:
-    """Partition d uniformly at random into m shards of exactly n/m rows.
+def split_rows(n: int, m: int, seed: int) -> np.ndarray:
+    """Row indices of the m shards of ``split_uniform``, one shard per row.
 
-    Seeded permutation followed by contiguous chunking, so the shards form an
-    exact partition of the input rows.
+    A seeded permutation of range(n) cut into m contiguous chunks of n/m.
     """
     if m < 1:
         raise ConfigError("machine count m must be >= 1")
-    if d.n % m != 0:
-        raise DivisibilityError(f"m = {m} does not divide n = {d.n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
-    size = d.n // m
-    return [
-        Dataset(d.X[perm[j * size:(j + 1) * size]], d.y[perm[j * size:(j + 1) * size]])
-        for j in range(m)
-    ]
+    if n % m != 0:
+        raise DivisibilityError(f"m = {m} does not divide n = {n}")
+    return np.random.default_rng(seed).permutation(n).reshape(m, n // m)
+
+
+def split_uniform(d: Dataset, m: int, seed: int) -> list[Dataset]:
+    """Partition d uniformly at random into m shards of exactly n/m rows.
+
+    The shards take the rows of ``split_rows``, so they form an exact
+    partition of the input rows.
+    """
+    return [Dataset(d.X[rows], d.y[rows]) for rows in split_rows(d.n, m, seed)]
 
 
 def error_ratio(err_bar: float, err_central: float) -> float:

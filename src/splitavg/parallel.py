@@ -13,9 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MachineFitError, SplitAvgError
-from .estimator import ModelSpec, fit_closed, fit_erm, population_target
-from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_uniform
+from .errors import ConfigError, MachineFitError, SingularHessianError, SplitAvgError
+from .estimator import FitReport, ModelSpec, fit_closed, fit_erm, fit_erm_stacked
+from .estimator import population_target
+from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_rows
+from .model import split_uniform
+
+# 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n) margin of
+# an approximate minimizer while staying reachable in double precision for the
+# non-quadratic links, whose line search stalls once improvements drop below
+# the ULP of the risk (the floor scales with the noise variance).
+_NEWTON_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,19 +91,46 @@ def average_estimate(thetas) -> np.ndarray:
     return arr.mean(axis=0)
 
 
+def _unconverged(report: FitReport) -> SplitAvgError:
+    return SplitAvgError(f"fit did not converge (grad norm {report.grad_norm:.2e})")
+
+
 def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
     if model.is_closed_form:
         return fit_closed(d, model.penalty)
-    # 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n)
-    # margin of an approximate minimizer while staying reachable in double
-    # precision for the non-quadratic links, whose line search stalls once
-    # improvements drop below the ULP of the risk (the floor scales with the
-    # noise variance).
-    report = fit_erm(d, model, tol=1e-6)
+    report = fit_erm(d, model, tol=_NEWTON_TOL)
     if not report.converged:
-        raise SplitAvgError(
-            f"fit did not converge (grad norm {report.grad_norm:.2e})")
+        raise _unconverged(report)
     return report.theta_hat
+
+
+def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int):
+    """Yield each shard's estimate in machine order, or the error its fit ended in.
+
+    Linear shards are fitted one by one.  Nonlinear shards are gathered into
+    one (m, n, p) stack, equal bitwise to the ``split_uniform`` shards, and
+    fitted in lockstep.  If a shard's Hessian is singular, the shards below
+    it are yielded, then its error.
+    """
+    model = cfg.model
+    if model.is_closed_form:
+        for shard in split_uniform(d, cfg.m, split_seed):
+            try:
+                theta = fit_closed(shard, model.penalty)
+            except SplitAvgError as exc:
+                theta = exc
+            yield theta
+        return
+    rows = split_rows(d.n, cfg.m, split_seed)
+    try:
+        reports = fit_erm_stacked(np.take(d.X, rows, axis=0), np.take(d.y, rows), model,
+                                  tol=_NEWTON_TOL)
+        singular = []
+    except SingularHessianError as exc:
+        reports, singular = exc.reports, [exc]
+    for report in reports:
+        yield report.theta_hat if report.converged else _unconverged(report)
+    yield from singular
 
 
 def _rep_seeds(base_seed: int, rep: int) -> tuple[int, int]:
@@ -111,15 +146,14 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     sample_seed, split_seed = _rep_seeds(cfg.base_seed, rep)
     d = sample_dataset(cfg.gen, cfg.N, sample_seed)
     theta_central = _fit_one(d, cfg.model)
-    # m = 1: the single shard is the full dataset; skipping the permutation
-    # keeps theta_bar bitwise equal to theta_central.
-    shards = [d] if cfg.m == 1 else split_uniform(d, cfg.m, split_seed)
+    # m = 1: the single shard is the full dataset, already fitted, so
+    # theta_bar is bitwise equal to theta_central.
+    fits = [theta_central] if cfg.m == 1 else _shard_fits(d, cfg, split_seed)
     thetas = []
-    for j, shard in enumerate(shards):
-        try:
-            thetas.append(_fit_one(shard, cfg.model))
-        except SplitAvgError as exc:
-            raise MachineFitError(f"machine {j} failed: {exc}", machine_index=j) from exc
+    for j, theta in enumerate(fits):
+        if isinstance(theta, SplitAvgError):
+            raise MachineFitError(f"machine {j} failed: {theta}", machine_index=j) from theta
+        thetas.append(theta)
     theta_bar = average_estimate(thetas)
     target = cfg.theta_star()
     return ReplicationResult(

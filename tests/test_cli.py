@@ -291,3 +291,25 @@ def test_header_names_every_option(tmp_path):
                    and getattr(args, a.dest) is not None}
         assert options <= named, (command, options - named)
         assert f"cmd={command}" in comment
+
+
+@pytest.mark.parametrize("argv", [
+    ["ratio-sweep", "--n-grid", "50.9,200", "--reps", "2"],
+    ["bias-mse", "--p", "2", "--N", "100.5", "--m-grid", "2", "--reps", "2"],
+    ["bias-mse", "--p", "2", "--N", "100", "--m-grid", "2,2.5", "--reps", "2"],
+    ["plan", "--mode", "fixed-n", "--n", "99.7", "--p", "10", "--total-eps", "1"],
+    ["plan", "--mode", "fixed-N", "--N", "1000000.5", "--p", "10", "--total-eps", "1"],
+    ["wishart-check", "--reps", "10000.5", "--p-grid", "1"],
+], ids=["n-grid", "bias-mse-N", "m-grid", "n", "plan-N", "reps"])
+def test_fractional_integers_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "expected an integer" in err
+    assert not out.exists()
+
+
+def test_integer_arguments_take_float_notation():
+    args = build_parser().parse_args(
+        ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "10", "--total-eps", "1"])
+    assert args.N == 10 ** 6 and isinstance(args.N, int)

@@ -1,0 +1,241 @@
+"""Lockstep Newton over stacked datasets against per-dataset fits, bit for bit."""
+
+import hashlib
+import warnings
+
+import numpy as np
+import pytest
+import scipy.linalg
+from scipy.linalg.lapack import dpotrf as sp_potrf
+
+import splitavg.estimator as est
+from splitavg import (
+    Dataset,
+    ExperimentConfig,
+    GenerativeConfig,
+    MachineFitError,
+    ModelSpec,
+    NoiseDist,
+    SingularHessianError,
+    fit_erm,
+    fit_erm_stacked,
+    mc_moment_fit,
+    run_replication,
+    sample_dataset,
+    split_uniform,
+)
+from splitavg.estimator import _cho_solve_stack
+
+P, N_SHARD, M = 10, 200, 10  # the ratio-sweep shape
+THETA0 = np.arange(1.0, P + 1.0) / np.linalg.norm(np.arange(1.0, P + 1.0))
+NOISES = {"gaussian10": NoiseDist.gaussian(10.0), "laplace1": NoiseDist.laplace(1.0)}
+MODELS = {"logistic": ModelSpec.logistic(), "nls": ModelSpec.nonlinear_ls()}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _stack(shards):
+    return np.stack([s.X for s in shards]), np.stack([s.y for s in shards])
+
+
+def _assert_same_reports(stacked, single):
+    assert len(stacked) == len(single)
+    for a, b in zip(stacked, single):
+        assert a.theta_hat.tobytes() == b.theta_hat.tobytes()
+        assert float(a.grad_norm).hex() == float(b.grad_norm).hex()
+        assert (a.iterations, a.converged) == (b.iterations, b.converged)
+
+
+def _shards(model_name, noise_name, seed, n=N_SHARD, m=M):
+    model = MODELS[model_name]
+    gen = GenerativeConfig(p=P, theta0=THETA0, noise=NOISES[noise_name], link=model.link)
+    return model, split_uniform(sample_dataset(gen, n * m, seed), m, seed + 100)
+
+
+@pytest.mark.parametrize("max_iter", [None, 0, 1, 2, 5])
+@pytest.mark.parametrize("noise_name", sorted(NOISES))
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_stacked_reports_equal_per_slice_fits(model_name, noise_name, max_iter):
+    kw = {} if max_iter is None else {"max_iter": max_iter}
+    for seed in (0, 1):
+        model, shards = _shards(model_name, noise_name, seed)
+        for tol in (1e-6, None):
+            stacked = fit_erm_stacked(*_stack(shards), model, tol=tol, **kw)
+            _assert_same_reports(stacked, [fit_erm(s, model, tol=tol, **kw) for s in shards])
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, 5, 60])
+def test_separable_logistic_stack_equals_per_slice_fits(max_iter):
+    rng = np.random.default_rng(0)
+    shards = []
+    for _ in range(3):
+        X = rng.standard_normal((60, 2))
+        shards.append(Dataset(X, (X @ np.array([1.0, 1.0]) > 0).astype(float)))
+    stacked = fit_erm_stacked(*_stack(shards), ModelSpec.logistic(), max_iter=max_iter)
+    single = [fit_erm(s, ModelSpec.logistic(), max_iter=max_iter) for s in shards]
+    _assert_same_reports(stacked, single)
+    assert not any(r.converged for r in stacked)
+    assert all(r.iterations == max_iter for r in stacked)
+
+
+def test_levenberg_shift_slices_equal_per_slice_fits(monkeypatch):
+    # 30-sample NLS shards with p = 10 have indefinite Hessians on the way
+    model, shards = _shards("nls", "gaussian10", 3, n=30, m=8)
+    single = [fit_erm(s, model, tol=1e-6) for s in shards]
+    failures = []
+    real = est._cho_solve_stack
+
+    def counting(a, b):
+        x, ok = real(a, b)
+        failures.append(int((~ok).sum()))
+        return x, ok
+
+    monkeypatch.setattr(est, "_cho_solve_stack", counting)
+    stacked = fit_erm_stacked(*_stack(shards), model, tol=1e-6)
+    assert sum(failures) > 0  # the shift loop ran
+    _assert_same_reports(stacked, single)
+
+
+def test_per_slice_and_shared_init():
+    model, shards = _shards("logistic", "gaussian10", 4, m=3)
+    X, y = _stack(shards)
+    starts = np.random.default_rng(1).normal(size=(3, P)) * 0.1
+    stacked = fit_erm_stacked(X, y, model, init=starts)
+    _assert_same_reports(stacked, [fit_erm(s, model, init=t) for s, t in zip(shards, starts)])
+    shared = fit_erm_stacked(X, y, model, init=starts[0])
+    _assert_same_reports(shared, [fit_erm(s, model, init=starts[0]) for s in shards])
+
+
+def test_trace_lists_running_slices_per_pass():
+    model, shards = _shards("logistic", "gaussian10", 5, m=2)
+    traces = []
+    for s in shards:
+        traces.append([])
+        fit_erm(s, model, trace=traces[-1])
+    stacked = []
+    reports = fit_erm_stacked(*_stack(shards), model, trace=stacked)
+    assert len(stacked) == sum(len(t) for t in traces)
+    assert sorted(stacked) == sorted(traces[0] + traces[1])
+    assert [r.iterations + 1 for r in reports] == [len(t) for t in traces]
+
+
+def _singular_stack(rng):
+    X = rng.standard_normal((4, 40, 3))
+    X[1, :, 2] = 0.0
+    X[3, :, 0] = 0.0
+    y = X[..., 0] + rng.standard_normal((4, 40))
+    return X, y
+
+
+def test_singular_slice_raises_with_the_fits_below_it():
+    X, y = _singular_stack(np.random.default_rng(5))
+    model = ModelSpec.ols()
+    with pytest.raises(SingularHessianError) as info:
+        fit_erm_stacked(X, y, model)
+    assert len(info.value.reports) == 1
+    _assert_same_reports(info.value.reports, [fit_erm(Dataset(X[0], y[0]), model)])
+    assert info.value.reports[0].converged
+    # at the cap the singular slices report instead of raising
+    capped = fit_erm_stacked(X, y, model, max_iter=0)
+    _assert_same_reports(capped, [fit_erm(Dataset(Xi, yi), model, max_iter=0)
+                                  for Xi, yi in zip(X, y)])
+    assert [(r.iterations, r.converged) for r in capped[1::2]] == [(0, False), (0, False)]
+
+
+def test_cholesky_kernel_matches_scipy_and_flags_failures():
+    rng = np.random.default_rng(2)
+    g = rng.standard_normal((3, 6, 4))
+    a = np.swapaxes(g, 1, 2) @ g
+    a[1] = -np.eye(4)
+    b = rng.standard_normal((3, 4))
+    x, ok = _cho_solve_stack(a, b)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a[i], check_finite=False), b[i],
+                                     check_finite=False)
+        assert np.array_equal(x[i], ref)
+    assert not x[1].any()
+
+
+@pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(0.3), ModelSpec.logistic(),
+                                   ModelSpec.nonlinear_ls()], ids=["ols", "ridge", "logistic", "nls"])
+def test_sandwich_factors_once_and_matches_scipy(monkeypatch, model):
+    gen = GenerativeConfig(p=4, theta0=THETA0[:4], noise=NoiseDist.gaussian(1.0), link=model.link)
+    d = sample_dataset(gen, 300, 8)
+    theta = fit_erm(d, model).theta_hat
+    _, hess, w1 = est._grad_hess(d.X, d.y, model, theta)
+    grads = d.X * w1[:, None] + model.penalty * theta[None, :]
+    cf = scipy.linalg.cho_factor(hess, check_finite=False)
+    ref = scipy.linalg.cho_solve(cf, scipy.linalg.cho_solve(cf, grads.T @ grads / d.n).T)
+    calls = []
+    monkeypatch.setattr(est, "dpotrf", lambda *a, **k: calls.append(1) or sp_potrf(*a, **k))
+    cov = est.sandwich_covariance(d, theta, model)
+    assert calls == [1]
+    assert cov.tobytes() == ((ref + ref.T) / 2.0).tobytes()
+
+
+# theta_bar/theta_central digests of replications 0-3 (p=10, N=2000, m=10,
+# base_seed=17), frozen from the per-shard fit_erm loop the lockstep fit replaced
+FROZEN_REPLICATIONS = {
+    ("logistic", "gaussian10"): ["9cbfb664861a951b", "bda4de265737c74f",
+                                 "bef358bb5cd331b7", "d028cf978621f9a5"],
+    ("nls", "gaussian10"): ["966045a501ffb8db", "91d438d435d56434",
+                            "919543a1e569fd2a", "53ba6c45b8d08c1b"],
+    ("nls", "laplace1"): ["2e15b05c6b8797c9", "d8db65e13547b95b",
+                          "bd356fc81f994594", "5dee16803bcb4a69"],
+}
+
+
+@pytest.mark.parametrize("model_name,noise_name", sorted(FROZEN_REPLICATIONS))
+def test_replications_match_frozen_shard_loop(model_name, noise_name):
+    model = MODELS[model_name]
+    gen = GenerativeConfig(p=P, theta0=THETA0, noise=NOISES[noise_name], link=model.link)
+    cfg = ExperimentConfig(gen=gen, model=model, N=N_SHARD * M, m=M, replications=4,
+                           base_seed=17)
+    got = []
+    for r in range(4):
+        res = run_replication(cfg, r)
+        got.append(_digest(res.theta_bar, res.theta_central))
+    assert got == FROZEN_REPLICATIONS[(model_name, noise_name)]
+
+
+def test_lowest_failing_machine_is_named():
+    # test_machine_fit_failure_is_tagged's config (base_seed=1) and its
+    # neighbours; indices frozen from the shard-by-shard loop
+    gen = GenerativeConfig(p=2, theta0=np.array([3.0, 3.0]),
+                           noise=NoiseDist.gaussian(1.0), link="logistic")
+    got = []
+    for base_seed in range(6):
+        cfg = ExperimentConfig(gen=gen, model=ModelSpec.logistic(), N=160, m=16,
+                               replications=1, base_seed=base_seed)
+        with pytest.raises(MachineFitError) as info:
+            run_replication(cfg, 0)
+        assert str(info.value).startswith(f"machine {info.value.machine_index} failed: "
+                                          "fit did not converge")
+        got.append(info.value.machine_index)
+    assert got == [0, 0, 3, 1, 3, 1]
+
+
+# digest of the per-n bias and second-moment arrays and both coefficient
+# pairs, frozen from the fit_erm-per-replication oracle
+FROZEN_MOMENT_FITS = {
+    "exp_nonlinear": ("32996a51d7b06f2e", ModelSpec.nonlinear_ls(), NoiseDist.gaussian(10.0)),
+    "logistic": ("a59d17f6c93f56e8", ModelSpec.logistic(), NoiseDist.gaussian(1.0)),
+}
+
+
+@pytest.mark.parametrize("link", sorted(FROZEN_MOMENT_FITS))
+def test_moment_fit_matches_frozen_fit_erm_loop(link):
+    want, model, noise = FROZEN_MOMENT_FITS[link]
+    cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]), noise=noise, link=link)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        f = mc_moment_fit(cfg, model, n_grid=[60, 120, 240], reps=50, seed=3)
+    got = _digest(*[f.bias_by_n[n] for n in f.n_grid], *[f.mse_by_n[n] for n in f.n_grid],
+                  np.array(f.bias_coeffs), np.array(f.mse_coeffs))
+    assert got == want

@@ -132,3 +132,12 @@ def test_config_validation():
         NoiseDist.gaussian(-1.0)
     with pytest.raises(ConfigError):
         sample_dataset(_cfg(), 0, seed=0)
+
+
+@pytest.mark.parametrize("make,param", [
+    (NoiseDist.gaussian, float("nan")), (NoiseDist.gaussian, float("inf")),
+    (NoiseDist.laplace, float("nan")), (NoiseDist.laplace, float("inf")),
+], ids=["gaussian-nan", "gaussian-inf", "laplace-nan", "laplace-inf"])
+def test_noise_parameter_must_be_finite(make, param):
+    with pytest.raises(ConfigError):
+        make(param)
