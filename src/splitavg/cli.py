@@ -85,7 +85,10 @@ def _finite(text: str) -> float:
 
 def _integer(text: str) -> int:
     """Argument type for integers, also in float notation (1e6); fractions are usage errors."""
-    value = _finite(text)
+    try:
+        return int(text)  # exact beyond 2^53, where float notation rounds
+    except ValueError:
+        value = _finite(text)
     if not value.is_integer():
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     return int(value)
@@ -287,8 +290,8 @@ def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
 
 def _add_replications(p: argparse.ArgumentParser) -> None:
     """Options of the subcommands that run seeded split-and-average replications."""
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--threads", type=_integer, default=None,
                    help="worker threads (default: SPLITAVG_THREADS or 1)")
 
 
@@ -306,10 +309,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ratio-sweep", help="error-ratio sweep along n")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
-    p.add_argument("--p", type=int, default=10)
-    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--p", type=_integer, default=10)
+    p.add_argument("--m", type=_integer, default=10)
     p.add_argument("--n-grid", type=_int_list, default=[50, 200, 1000])
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--reps", type=_integer, default=200)
     p.add_argument("--penalty", type=_finite, default=0.1)
     p.add_argument("--theta-norm", type=_finite, default=1.0)
     _add_noise(p, sigma2=10.0)
@@ -319,10 +322,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bias-mse", help="bias and MSE vs theory along m")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
-    p.add_argument("--p", type=int, default=20)
+    p.add_argument("--p", type=_integer, default=20)
     p.add_argument("--N", type=_integer, default=20000)
     p.add_argument("--m-grid", type=_int_list, default=[10, 20, 40])
-    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--reps", type=_integer, default=1000)
     p.add_argument("--penalty", type=_finite, default=1.0)
     p.add_argument("--theta-norm", type=_finite, default=10.0)
     _add_noise(p, sigma2=2.0)
@@ -333,9 +336,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("highdim-sweep", help="MSE ratio in the proportional regime")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
     p.add_argument("--kappa", type=_finite, default=0.2)
-    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--m", type=_integer, default=10)
     p.add_argument("--n-grid", type=_int_list, default=[250, 500])
-    p.add_argument("--reps", type=int, default=300)
+    p.add_argument("--reps", type=_integer, default=300)
     p.add_argument("--penalty", type=_finite, default=1.0)
     p.add_argument("--theta-norm", type=_finite, default=1.0)
     _add_noise(p, sigma2=1.0)
@@ -352,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa-grid", type=_float_list,
                    default=list(np.geomspace(1e-3, 8e-3, 5)),
                    help="grid for the absolute-loss series fit")
-    p.add_argument("--quad-nodes", type=int, default=64)
+    p.add_argument("--quad-nodes", type=_integer, default=64)
     _add_common(p, "table1.csv")
     p.set_defaults(func=_run_table1)
 
@@ -367,7 +370,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rel-eps", type=_finite, default=None)
     p.add_argument("--regime", choices=("fixed-p", "high-dim"), default="fixed-p")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p.add_argument("--penalty", type=_finite, default=0.0)
     p.add_argument("--theta-norm", type=_finite, default=1.0)
     p.add_argument("--loss", choices=("squared", "pseudo-huber", "absolute"),
@@ -380,7 +383,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
     p.add_argument("--reps", type=_integer, default=1_000_000)
     p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     _add_common(p, "wishart_check.csv")
     p.set_defaults(func=_run_wishart_check)
 

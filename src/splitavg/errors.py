@@ -42,7 +42,14 @@ class SingularHessianError(NumericalError):
 
 
 class RankError(SingularHessianError):
-    """Closed-form least-squares system is rank deficient."""
+    """Closed-form least-squares system is rank deficient.
+
+    ``index`` is the lowest singular system, counting a stack in C order.
+    """
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
 
 
 class SolverFailureError(NumericalError):

@@ -304,7 +304,7 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
     (..., p).  Every system gets the LAPACK calls of a lone 2-D solve
     (``_cho_solve_stack``), so a slice of the stack equals its own fit
-    bitwise.  Any singular system raises ``RankError``.
+    bitwise.  A singular system raises ``RankError`` naming the lowest one.
     """
     if penalty < 0:
         raise ConfigError("penalty must be >= 0")
@@ -314,7 +314,8 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     b = xt @ y[..., None] / n
     theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
     if not ok.all():
-        raise RankError("normal equations are singular (rank-deficient design)")
+        raise RankError("normal equations are singular (rank-deficient design)",
+                        index=int(np.argmin(ok)))
     return theta.reshape(a.shape[:-1])
 
 

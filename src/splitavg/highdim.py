@@ -23,6 +23,7 @@ from .model import NoiseDist, error_ratio
 
 _SQRT2 = math.sqrt(2.0)
 _SQRTPI = math.sqrt(math.pi)
+_LAPLACE_TRUNCATION = 40.0  # scale parameters; the tail beyond holds e^-40 of the mass
 
 
 @dataclass(frozen=True)
@@ -30,15 +31,14 @@ class QuadratureSpec:
     """Quadrature controls for expectations over the compound residual noise.
 
     ``nodes`` is the Gauss-Hermite count; the noise axis uses graded
-    Gauss-Legendre panels, truncated at ``laplace_truncation`` scale
-    parameters for Laplace noise.  ``scheme="adaptive"`` switches the noise
-    axis of ``expect_xi`` to scipy's adaptive integrator (slow; reference
-    use); every other entry point rejects it.
+    Gauss-Legendre panels, truncated at 40 scale parameters for Laplace
+    noise.  ``scheme="adaptive"`` switches the noise axis of ``expect_xi``
+    to scipy's adaptive integrator (slow; reference use); every other entry
+    point rejects it.
     """
 
     nodes: int = 64
     scheme: str = "gauss_hermite"
-    laplace_truncation: float = 40.0
 
     def __post_init__(self):
         if self.nodes < 16:
@@ -57,14 +57,14 @@ def _gauss_quadrature(q: QuadratureSpec | None) -> QuadratureSpec:
     return q
 
 
-def _noise_law(noise: NoiseDist, q: QuadratureSpec):
+def _noise_law(noise: NoiseDist):
     """Density of eps (called at |t|) and the panel edges on [0, truncation]."""
     if noise.kind == "gaussian":
         sd = math.sqrt(noise.param)
         edges = np.concatenate([[0.0], np.geomspace(0.05, 10.0, 20)]) * sd
         return (lambda t: np.exp(-0.5 * (t / sd) ** 2) / (sd * _SQRT2 * _SQRTPI)), edges
     scale = noise.param
-    edges = np.concatenate([[0.0], np.geomspace(0.02, q.laplace_truncation, 20)]) * scale
+    edges = np.concatenate([[0.0], np.geomspace(0.02, _LAPLACE_TRUNCATION, 20)]) * scale
     return (lambda t: np.exp(-t / scale) / (2.0 * scale)), edges
 
 
@@ -78,7 +78,7 @@ def _eps_axis(noise: NoiseDist, q: QuadratureSpec):
     """
     if noise.param == 0.0:  # noiseless gaussian
         return np.zeros(1), np.ones(1)
-    density, edges = _noise_law(noise, q)
+    density, edges = _noise_law(noise)
     x, w = np.polynomial.legendre.leggauss(max(16, q.nodes // 4))
     a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
@@ -139,7 +139,7 @@ def _expect_xi_adaptive(g, noise, r, q):
     if noise.param == 0.0:  # noiseless gaussian
         return inner(0.0)
     # the density and truncation of the panels this path is the reference for
-    density, edges = _noise_law(noise, q)
+    density, edges = _noise_law(noise)
     val, _ = quad(lambda e: inner(e) * density(abs(e)), -edges[-1], edges[-1],
                   points=[0.0], limit=400)
     return val
@@ -271,7 +271,7 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
 
     b = noise.param
     te, we = _eps_axis(noise, q)
-    density = _noise_law(noise, q)[0]
+    density = _noise_law(noise)[0]
 
     def residuals(c, rho, kappa):
         r = math.sqrt(rho) if rho > 0 else 0.0

@@ -122,40 +122,39 @@ class Dataset:
         return self.X.shape[1]
 
 
-def _laplace_inverse_cdf(u: np.ndarray, scale: float) -> np.ndarray:
-    # Inverse CDF keeps the draw deterministic and quadrature-friendly.
-    q = u - 0.5
-    q = np.clip(q, -0.5 * (1 - 1e-16), 0.5 * (1 - 1e-16))
-    return -scale * np.sign(q) * np.log1p(-2.0 * np.abs(q))
-
-
 def sample_noise(noise: NoiseDist, n: int | tuple, rng: np.random.Generator) -> np.ndarray:
     if noise.kind == "gaussian":
         return np.sqrt(noise.param) * rng.standard_normal(n)
-    return _laplace_inverse_cdf(rng.random(n), noise.param)
+    # Laplace by inverse CDF keeps the draw deterministic and quadrature-friendly.
+    q = np.clip(rng.random(n) - 0.5, -0.5 * (1 - 1e-16), 0.5 * (1 - 1e-16))
+    return -noise.param * np.sign(q) * np.log1p(-2.0 * np.abs(q))
 
 
-def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. samples from the generative model, deterministically in seed.
+def _draw(cfg: GenerativeConfig, shape: tuple, rng: np.random.Generator):
+    """Designs X (*shape, p) and responses y ``shape``: the package's one draw rule.
 
-    Draw order is fixed (design first, then noise/uniforms) so results are
-    bit-reproducible for a given (cfg, n, seed).
+    Draw order is fixed (design, then noise/uniforms) so results are
+    bit-reproducible for a given (cfg, shape, rng state).
     """
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, cfg.p))
+    X = rng.standard_normal((*shape, cfg.p))
     if cfg.sigma_spec is not None:
         X = X @ cfg._chol.T
     s = X @ cfg.theta0
     if cfg.link == "linear":
-        y = s + sample_noise(cfg.noise, n, rng)
+        y = s + sample_noise(cfg.noise, shape, rng)
     elif cfg.link == "exp_nonlinear":
-        y = np.exp(s) + sample_noise(cfg.noise, n, rng)
+        y = np.exp(s) + sample_noise(cfg.noise, shape, rng)
     else:  # logistic: Bernoulli responses in {0, 1}; noise is ignored
         prob = 1.0 / (1.0 + np.exp(-s))
-        y = (rng.random(n) < prob).astype(float)
-    return Dataset(X, y)
+        y = (rng.random(shape) < prob).astype(float)
+    return X, y
+
+
+def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. samples from the generative model, deterministically in seed."""
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    return Dataset(*_draw(cfg, (n,), np.random.default_rng(seed)))
 
 
 def split_rows(n: int, m: int, seed: int) -> np.ndarray:

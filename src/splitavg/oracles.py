@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import ModelSpec, fit_closed_stacked, fit_erm, population_target
-from .model import GenerativeConfig, sample_dataset, sample_noise
+from .model import GenerativeConfig, _draw, sample_dataset
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
 SECOND_KIND_IDS = (
@@ -27,6 +27,7 @@ SECOND_KIND_IDS = (
     "E_SS22BS",
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
+_WISHART_CHUNK = 200_000  # draws per pass of wishart_check: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +125,7 @@ class WishartCheckResult:
     max_abs_z: float
 
 
-def wishart_check(w: WishartIdentity, reps: int, seed: int,
-                  chunk: int = 200_000) -> WishartCheckResult:
+def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResult:
     """Compare the MC average of the identity's expression with its closed form.
 
     Returns the entrywise worst |difference| / standard-error ratio.
@@ -137,15 +137,13 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int,
     rng = np.random.default_rng(seed)
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
+    for done in range(0, reps, _WISHART_CHUNK):
+        c = min(_WISHART_CHUNK, reps - done)
         x1 = rng.standard_normal((c, p)) @ chol.T
         x2 = rng.standard_normal((c, p)) @ chol.T
         wt, u, v = _mc_terms(w, x1, x2)
         total += (u * wt[:, None]).T @ v
         total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
-        done += c
     mean = total / reps
     var = (total_sq / reps - mean * mean) * reps / (reps - 1)
     se = np.sqrt(np.maximum(var, 0.0) / reps)
@@ -185,20 +183,13 @@ class MomentFitResult:
 
 def _closed_form_errors(cfg, model, n, reps, rng):
     """Closed-form OLS/ridge errors, stacked over replications."""
-    target = population_target(cfg, model)
-    chol_t = None if cfg.sigma_spec is None else cfg._chol.T
-    out = np.empty((reps, cfg.p))
     chunk = max(1, int(2e7 / (n * cfg.p)))
-    done = 0
-    while done < reps:
-        c = min(chunk, reps - done)
-        x = rng.standard_normal((c, n, cfg.p))
-        if chol_t is not None:
-            x = x @ chol_t
-        y = x @ cfg.theta0 + sample_noise(cfg.noise, (c, n), rng)
-        out[done:done + c] = fit_closed_stacked(x, y, model.penalty) - target
-        done += c
-    return out
+    fits = []
+    for done in range(0, reps, chunk):
+        # no names for the draws: a chunk's design is freed before the next is drawn
+        fits.append(fit_closed_stacked(*_draw(cfg, (min(chunk, reps - done), n), rng),
+                                       model.penalty))
+    return np.concatenate(fits) - population_target(cfg, model)
 
 
 def _erm_errors(cfg, model, n, reps, rng):

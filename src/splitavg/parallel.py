@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MachineFitError, SingularHessianError, SplitAvgError
-from .estimator import FitReport, ModelSpec, fit_closed, fit_erm, fit_erm_stacked
-from .estimator import population_target
+from .errors import ConfigError, MachineFitError, RankError, SingularHessianError, SplitAvgError
+from .estimator import FitReport, ModelSpec, fit_closed, fit_closed_stacked, fit_erm
+from .estimator import fit_erm_stacked, population_target
 from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_rows
-from .model import split_uniform
+from .model import split_uniform  # unused here; bench/tracing.py wraps parallel.split_uniform
 
 # 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n) margin of
 # an approximate minimizer while staying reachable in double precision for the
@@ -104,33 +104,32 @@ def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
     return report.theta_hat
 
 
-def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int):
-    """Yield each shard's estimate in machine order, or the error its fit ended in.
+def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int) -> np.ndarray:
+    """The (m, p) shard estimates, all shards fitted in one stacked call.
 
-    Linear shards are fitted one by one.  Nonlinear shards are gathered into
-    one (m, n, p) stack, equal bitwise to the ``split_uniform`` shards, and
-    fitted in lockstep.  If a shard's Hessian is singular, the shards below
-    it are yielded, then its error.
+    The shards are gathered into one (m, n, p) stack from the rows of
+    ``split_rows``, so each equals its ``split_uniform`` shard bitwise.  A
+    failed fit raises ``MachineFitError`` for the lowest shard whose fit
+    raised or did not converge, the shard a one-by-one loop would stop at.
     """
     model = cfg.model
-    if model.is_closed_form:
-        for shard in split_uniform(d, cfg.m, split_seed):
-            try:
-                theta = fit_closed(shard, model.penalty)
-            except SplitAvgError as exc:
-                theta = exc
-            yield theta
-        return
     rows = split_rows(d.n, cfg.m, split_seed)
+    X, y = np.take(d.X, rows, axis=0), np.take(d.y, rows)
     try:
-        reports = fit_erm_stacked(np.take(d.X, rows, axis=0), np.take(d.y, rows), model,
-                                  tol=_NEWTON_TOL)
-        singular = []
-    except SingularHessianError as exc:
-        reports, singular = exc.reports, [exc]
-    for report in reports:
-        yield report.theta_hat if report.converged else _unconverged(report)
-    yield from singular
+        if model.is_closed_form:
+            return fit_closed_stacked(X, y, model.penalty)
+        reports, j, cause = fit_erm_stacked(X, y, model, tol=_NEWTON_TOL), None, None
+    except RankError as exc:  # closed form: the lowest singular shard
+        reports, j, cause = [], exc.index, exc
+    except SingularHessianError as exc:  # Newton: the shards below the lowest singular one
+        reports, j, cause = exc.reports, len(exc.reports), exc
+    for i, report in enumerate(reports):
+        if not report.converged:
+            j, cause = i, _unconverged(report)
+            break
+    if cause is None:
+        return np.array([report.theta_hat for report in reports])
+    raise MachineFitError(f"machine {j} failed: {cause}", machine_index=j) from cause
 
 
 def _rep_seeds(base_seed: int, rep: int) -> tuple[int, int]:
@@ -148,13 +147,8 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     theta_central = _fit_one(d, cfg.model)
     # m = 1: the single shard is the full dataset, already fitted, so
     # theta_bar is bitwise equal to theta_central.
-    fits = [theta_central] if cfg.m == 1 else _shard_fits(d, cfg, split_seed)
-    thetas = []
-    for j, theta in enumerate(fits):
-        if isinstance(theta, SplitAvgError):
-            raise MachineFitError(f"machine {j} failed: {theta}", machine_index=j) from theta
-        thetas.append(theta)
-    theta_bar = average_estimate(thetas)
+    theta_bar = average_estimate([theta_central] if cfg.m == 1
+                                 else _shard_fits(d, cfg, split_seed))
     target = cfg.theta_star()
     return ReplicationResult(
         theta_bar=theta_bar,

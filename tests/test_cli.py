@@ -300,7 +300,18 @@ def test_header_names_every_option(tmp_path):
     ["plan", "--mode", "fixed-n", "--n", "99.7", "--p", "10", "--total-eps", "1"],
     ["plan", "--mode", "fixed-N", "--N", "1000000.5", "--p", "10", "--total-eps", "1"],
     ["wishart-check", "--reps", "10000.5", "--p-grid", "1"],
-], ids=["n-grid", "bias-mse-N", "m-grid", "n", "plan-N", "reps"])
+    ["ratio-sweep", "--reps", "2.5"],
+    ["ratio-sweep", "--p", "2.5", "--reps", "2"],
+    ["ratio-sweep", "--m", "1.5", "--reps", "2"],
+    ["ratio-sweep", "--seed", "0.5", "--reps", "2"],
+    ["ratio-sweep", "--threads", "1.5", "--reps", "2"],
+    ["bias-mse", "--p", "2", "--N", "100", "--m-grid", "2", "--reps", "2.5"],
+    ["highdim-sweep", "--m", "2.5", "--reps", "2"],
+    ["table1", "--quad-nodes", "16.5"],
+    ["plan", "--mode", "fixed-n", "--n", "100", "--p", "10.5", "--total-eps", "1"],
+    ["wishart-check", "--seed", "0.5", "--p-grid", "1"],
+], ids=["n-grid", "bias-mse-N", "m-grid", "n", "plan-N", "reps", "ratio-sweep-reps", "p", "m",
+        "seed", "threads", "bias-mse-reps", "highdim-m", "quad-nodes", "plan-p", "wishart-seed"])
 def test_fractional_integers_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1
@@ -313,3 +324,15 @@ def test_integer_arguments_take_float_notation():
     args = build_parser().parse_args(
         ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "10", "--total-eps", "1"])
     assert args.N == 10 ** 6 and isinstance(args.N, int)
+    parse = build_parser().parse_args
+    args = parse(["ratio-sweep", "--reps", "1e3", "--p", "1e1", "--m", "5e0", "--seed", "7e2",
+                  "--threads", "2.0"])
+    assert (args.reps, args.p, args.m, args.seed, args.threads) == (1000, 10, 5, 700, 2)
+    assert all(isinstance(v, int) for v in (args.reps, args.p, args.m, args.seed, args.threads))
+    assert parse(["bias-mse", "--p", "2e1", "--reps", "1e3"]).p == 20
+    assert parse(["highdim-sweep", "--m", "1e1"]).m == 10
+    assert parse(["table1", "--quad-nodes", "6.4e1"]).quad_nodes == 64
+    assert parse(["plan", "--mode", "fixed-n", "--p", "1e2"]).p == 100
+    assert parse(["wishart-check", "--seed", "1e1"]).seed == 10
+    # plain integers stay exact past 2^53, where float notation would round
+    assert parse(["wishart-check", "--seed", str(2 ** 64 + 1)]).seed == 2 ** 64 + 1

@@ -70,6 +70,20 @@ def test_stacked_rank_error_on_any_singular_system():
         fit_closed_stacked(X, rng.standard_normal((3, 10)))
 
 
+def test_stacked_rank_error_names_the_lowest_singular_system():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((2, 3, 10, 2))
+    X[1, 0, :, 1] = 0.0  # systems 3 and 5 in C order are singular
+    X[1, 2, :, 0] = 0.0
+    y = rng.standard_normal((2, 3, 10))
+    with pytest.raises(RankError) as info:
+        fit_closed_stacked(X, y)
+    assert info.value.index == 3
+    with pytest.raises(RankError) as info:
+        fit_closed(Dataset(X[1, 2], y[1, 2]))
+    assert info.value.index == 0
+
+
 def test_erm_matches_closed_form_ols_and_ridge():
     d, _ = _data()
     for lam in (0.0, 0.5):
