@@ -30,13 +30,16 @@ LAM = 1.0
 
 def alternate_sums(p, sigma2, theta0, which):
     """Second-order sums for the two alternate coefficient sets."""
-    if which == "alt_gamma2":
-        return ridge_gammas(theta0, sigma2, LAM, gamma2_variant="alt").second_order_sum()
-    # "uncorrected": smaller gamma3 B-weight, one less shrinkage on gamma4
     B = np.outer(theta0, theta0)
     A = float(theta0 @ theta0) * np.eye(p)
     eye = np.eye(p)
     l = lambda k, j: lam_kl(LAM, k, j)
+    if which == "alt_gamma2":
+        # the implemented set with gamma2's trace weight (2+p) replaced by (3+p)
+        gam = ridge_gammas(theta0, sigma2, LAM)
+        g2 = -l(2, 5) * ((4 + p) * B + (3 + p) * A) - l(0, 3) * sigma2 * (1 + p) * eye
+        return g2 + g2.T + gam.gamma3 + gam.gamma4 + gam.gamma4.T
+    # "uncorrected": smaller gamma3 B-weight, one less shrinkage on gamma4
     g2 = -l(2, 5) * ((4 + p) * B + (2 + p) * A) - l(0, 3) * sigma2 * (1 + p) * eye
     g3 = l(2, 6) * ((5 + p + p * p) * B + (2 + p) * A) + l(0, 4) * sigma2 * (1 + p) * eye
     g4 = l(2, 5) * ((5 + 2 * p) * B + (3 + 2 * p) * A) + l(0, 3) * sigma2 * (1 + p) * eye

@@ -87,19 +87,13 @@ def lam_kl(penalty: float, k: int, l: int) -> float:
     return penalty ** k / (1.0 + penalty) ** l
 
 
-def ridge_gammas(
-    theta0: np.ndarray,
-    sigma2: float,
-    penalty: float,
-    p: int | None = None,
-    gamma2_variant: str = "derived",
-) -> GammaSet:
+def ridge_gammas(theta0: np.ndarray, sigma2: float, penalty: float) -> GammaSet:
     """Expansion moments for ridge regression with identity design covariance.
 
-    The gamma2 trace coefficient on A = ||theta0||^2 I has two circulating
-    values; ``gamma2_variant="derived"`` uses (2+p), which is what the
-    underlying Wishart moment algebra yields and what the Monte-Carlo moment
-    oracle confirms, while ``"alt"`` substitutes (3+p) for comparison.
+    The gamma2 trace coefficient on A = ||theta0||^2 I is (2+p), which is
+    what the underlying Wishart moment algebra yields and what the
+    Monte-Carlo moment oracle confirms; ``scripts/validate_ridge_moments.py``
+    checks it against the (3+p) value also found in circulation.
 
     Only Sigma = I is supported; for general covariance there is no closed
     form here and the moment oracle must be used instead.
@@ -107,16 +101,11 @@ def ridge_gammas(
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.ndim != 1:
         raise ConfigError("theta0 must be a vector")
-    if p is None:
-        p = theta0.shape[0]
-    elif p != theta0.shape[0]:
-        raise ConfigError("p does not match len(theta0)")
+    p = theta0.shape[0]
     if sigma2 < 0:
         raise ConfigError("noise variance must be >= 0")
     if penalty < 0:
         raise ConfigError("penalty must be >= 0")
-    if gamma2_variant not in ("derived", "alt"):
-        raise ConfigError("gamma2_variant must be 'derived' or 'alt'")
     lam = penalty
     B = np.outer(theta0, theta0)
     A = float(theta0 @ theta0) * np.eye(p)
@@ -125,8 +114,7 @@ def ridge_gammas(
     delta = -lam_kl(lam, 1, 3) * (1 + p) * theta0
     gamma0 = lam_kl(lam, 2, 6) * (1 + p) ** 2 * B
     gamma1 = lam_kl(lam, 2, 4) * (B + A) + lam_kl(lam, 0, 2) * sigma2 * eye
-    a2 = (2 + p) if gamma2_variant == "derived" else (3 + p)
-    gamma2 = -lam_kl(lam, 2, 5) * ((4 + p) * B + a2 * A) \
+    gamma2 = -lam_kl(lam, 2, 5) * ((4 + p) * B + (2 + p) * A) \
         - lam_kl(lam, 0, 3) * sigma2 * (1 + p) * eye
     gamma3 = lam_kl(lam, 2, 6) * ((5 + 3 * p + p * p) * B + (2 + p) * A) \
         + lam_kl(lam, 0, 4) * sigma2 * (1 + p) * eye

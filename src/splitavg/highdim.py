@@ -32,40 +32,31 @@ class QuadratureSpec:
 
     ``nodes`` is the Gauss-Hermite count; the noise axis uses graded
     Gauss-Legendre panels, truncated at 40 scale parameters for Laplace
-    noise.  ``scheme="adaptive"`` switches the noise axis of ``expect_xi``
-    to scipy's adaptive integrator (slow; reference use); every other entry
-    point rejects it.
+    noise.  ``_expect_xi_adaptive`` integrates the noise axis with scipy's
+    adaptive integrator instead, as the slow reference for these panels.
     """
 
     nodes: int = 64
-    scheme: str = "gauss_hermite"
 
     def __post_init__(self):
         if self.nodes < 16:
             raise ConfigError("quadrature needs >= 16 nodes per axis")
-        if self.scheme not in ("gauss_hermite", "adaptive"):
-            raise ConfigError("scheme must be gauss_hermite or adaptive")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _gauss_quadrature(q: QuadratureSpec | None) -> QuadratureSpec:
-    q = q or DEFAULT_QUADRATURE
-    if q.scheme == "adaptive":
-        raise ConfigError('scheme="adaptive" is supported by expect_xi only')
-    return q
-
-
 def _noise_law(noise: NoiseDist):
-    """Density of eps (called at |t|) and the panel edges on [0, truncation]."""
+    """Density of eps (called at |t|), the panel edges on [0, truncation] and
+    the variance of eps's normal part (all of gaussian noise, none of Laplace)."""
     if noise.kind == "gaussian":
         sd = math.sqrt(noise.param)
         edges = np.concatenate([[0.0], np.geomspace(0.05, 10.0, 20)]) * sd
-        return (lambda t: np.exp(-0.5 * (t / sd) ** 2) / (sd * _SQRT2 * _SQRTPI)), edges
+        return ((lambda t: np.exp(-0.5 * (t / sd) ** 2) / (sd * _SQRT2 * _SQRTPI)), edges,
+                noise.param)
     scale = noise.param
     edges = np.concatenate([[0.0], np.geomspace(0.02, _LAPLACE_TRUNCATION, 20)]) * scale
-    return (lambda t: np.exp(-t / scale) / (2.0 * scale)), edges
+    return (lambda t: np.exp(-t / scale) / (2.0 * scale)), edges, 0.0
 
 
 @lru_cache(maxsize=32)
@@ -78,7 +69,7 @@ def _eps_axis(noise: NoiseDist, q: QuadratureSpec):
     """
     if noise.param == 0.0:  # noiseless gaussian
         return np.zeros(1), np.ones(1)
-    density, edges = _noise_law(noise)
+    density, edges, _ = _noise_law(noise)
     x, w = np.polynomial.legendre.leggauss(max(16, q.nodes // 4))
     a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
@@ -105,7 +96,7 @@ def _compound_grid(noise: NoiseDist, q: QuadratureSpec, r: float):
 
 def expect_noise(g, noise: NoiseDist, q: QuadratureSpec | None = None) -> float:
     """E[g(eps)] over the raw noise by single-axis quadrature."""
-    return expect_xi(g, noise, 0.0, _gauss_quadrature(q))
+    return expect_xi(g, noise, 0.0, q)
 
 
 def expect_xi(g, noise: NoiseDist, r: float, q: QuadratureSpec | None = None) -> float:
@@ -116,17 +107,15 @@ def expect_xi(g, noise: NoiseDist, r: float, q: QuadratureSpec | None = None) ->
     """
     if r < 0:
         raise ConfigError("r must be >= 0")
-    q = q or DEFAULT_QUADRATURE
-    if q.scheme == "adaptive":
-        return _expect_xi_adaptive(g, noise, r, q)
-    z, mean = _compound_grid(noise, q, r)
+    z, mean = _compound_grid(noise, q or DEFAULT_QUADRATURE, r)
     vals = np.asarray(g(z), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("integrand produced non-finite values")
     return mean(vals)
 
 
-def _expect_xi_adaptive(g, noise, r, q):
+def _expect_xi_adaptive(g, noise: NoiseDist, r: float, q: QuadratureSpec):
+    """``expect_xi`` with scipy's adaptive integrator on the noise axis (slow; reference)."""
     from scipy.integrate import quad
 
     th, wh = _eta_axis(q.nodes)
@@ -139,7 +128,7 @@ def _expect_xi_adaptive(g, noise, r, q):
     if noise.param == 0.0:  # noiseless gaussian
         return inner(0.0)
     # the density and truncation of the panels this path is the reference for
-    density, edges = _noise_law(noise)
+    density, edges, _ = _noise_law(noise)
     val, _ = quad(lambda e: inner(e) * density(abs(e)), -edges[-1], edges[-1],
                   points=[0.0], limit=400)
     return val
@@ -193,7 +182,7 @@ def perturb_coeffs(
                           "use absolute_series for the absolute loss")
     if b2_sign not in (-1, 1):
         raise ConfigError("b2_sign must be -1 or +1")
-    t, mean = _compound_grid(noise, _gauss_quadrature(q), 0.0)
+    t, mean = _compound_grid(noise, q or DEFAULT_QUADRATURE, 0.0)
     f1, f2, f3, f4 = (derivative_array(loss, t, k) for k in range(1, 5))
     a2 = mean(f2)
     a4 = mean(0.5 * f4)
@@ -245,42 +234,28 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
     """Residuals of the coupled equations for the soft-threshold (absolute) prox.
 
     The prox derivative is an indicator, so the expectations are computed
-    against the exact distribution of the compound noise: closed forms for
-    gaussian, Laplace panels composed with closed-form normal pieces
-    otherwise.  Returns the residuals and their analytic Jacobian in (c, rho),
-    built from d/dc E[min(X^2, c^2)] = 2c P(|X| > c) and, for X with a normal
-    part of variance rho, d/drho E[h(X)] = E[h''(X)] / 2.
+    against the exact distribution of the compound noise: noise panels
+    composed with closed-form normal pieces of variance r^2 = s2 + rho, where
+    s2 is the normal part of the noise.  Gaussian noise is all normal part
+    and leaves one node at 0 with weight 1.  Returns the residuals and their
+    analytic Jacobian in (c, rho), built from d/dc E[min(X^2, c^2)] =
+    2c P(|X| > c) and, for X with a normal part of variance r^2,
+    d/drho E[h(X)] = E[h''(X)] / 2.
     """
     if noise.variance == 0:
         raise ConfigError("absolute-loss equations need noise with positive variance")
-    if noise.kind == "gaussian":
-        sig2 = noise.param
-
-        def residuals(c, rho, kappa):
-            s = math.sqrt(sig2 + rho)
-            u = c / s
-            e_dprox = 2.0 * (1.0 - ndtr(u))
-            e_inside = (2.0 * ndtr(u) - 1.0) - 2.0 * u * _phi(u)
-            e_min = s * s * e_inside + c * c * e_dprox
-            f = np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
-            jac = np.array([[-2.0 * _phi(u) / s, u * _phi(u) / (s * s)],
-                            [2.0 * c * e_dprox, e_inside - kappa]])
-            return f, jac
-
-        return residuals
-
-    b = noise.param
-    te, we = _eps_axis(noise, q)
-    density = _noise_law(noise)[0]
+    density, _, s2 = _noise_law(noise)
+    te, we = (np.zeros(1), np.ones(1)) if s2 else _eps_axis(noise, q)
 
     def residuals(c, rho, kappa):
-        r = math.sqrt(rho) if rho > 0 else 0.0
-        if r < 1e-13:
+        r2 = s2 + rho
+        r = math.sqrt(r2) if r2 > 0 else 0.0
+        if r < 1e-13 and not s2:
             e_dprox = float(we @ (np.abs(te) > c))
             e_min = float(we @ np.minimum(te * te, c * c))
-            # r -> 0 limits, from the Laplace density p_c at +-c
+            # r -> 0 limits (Laplace noise only), from the density p_c at +-c
             p_c = density(c)
-            d_dprox = [-2.0 * p_c, p_c / b]
+            d_dprox = [-2.0 * p_c, p_c / noise.param]
             d_min_rho = 1.0 - e_dprox - 2.0 * c * p_c
         else:
             a_hi, a_lo = (c - te) / r, (-c - te) / r
@@ -289,7 +264,7 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
             e_dprox = float(we @ (1.0 - inside))
             e_min = float(we @ _gaussian_min_sq(te, r, c))
             d_dprox = [-float(we @ (phi_hi + phi_lo)) / r,
-                       float(we @ (a_hi * phi_hi - a_lo * phi_lo)) / (2.0 * rho)]
+                       float(we @ (a_hi * phi_hi - a_lo * phi_lo)) / (2.0 * r2)]
             d_min_rho = float(we @ (inside - c * (phi_hi + phi_lo) / r))
         f = np.array([e_dprox - (1.0 - kappa), e_min - kappa * rho])
         jac = np.array([d_dprox, [2.0 * c * e_dprox, d_min_rho - kappa]])
@@ -344,11 +319,11 @@ def _series_init(loss: LossSpec, noise: NoiseDist, kappa: float, q: QuadratureSp
     if loss.is_smooth:
         pc = perturb_coeffs(loss, noise, q)
         return max(pc.c1 * growth, 1e-12), max(pc.r1 * growth, 0.0)
-    if noise.kind == "gaussian":
-        sd = math.sqrt(noise.param)
-        return sd * math.sqrt(math.pi / 2.0) * growth, (math.pi / 2.0) * noise.param * growth
-    b = noise.param
-    return b * growth, b * b * growth
+    # absolute loss: c1 = 1 / (2 p(0)) and r1 = c1^2.  c starts at
+    # c1 growth / sqrt(1 + growth), still first-order exact: from c1 growth
+    # Newton stalls at kappa = 0.9 and 0.99, which the planner reaches.
+    c1 = 0.5 / _noise_law(noise)[0](0.0)
+    return c1 * growth / math.sqrt(1.0 + growth), c1 * c1 * growth
 
 
 def solve_rc(
@@ -368,7 +343,7 @@ def solve_rc(
     """
     if not 0.0 < kappa < 1.0:
         raise ConfigError("kappa must be in (0, 1)")
-    q = _gauss_quadrature(q)
+    q = q or DEFAULT_QUADRATURE
     if loss.is_smooth:
         fn = _smooth_residual_fn(loss, noise, q)
     else:

@@ -44,6 +44,10 @@ class ExperimentConfig:
             raise ConfigError(f"m = {self.m} must divide N = {self.N}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.gen.link != self.model.link:
+            # theta_star is the fitted model's target only under its own link
+            raise ConfigError(f"data link {self.gen.link!r} does not match "
+                              f"the model's link {self.model.link!r}")
 
     @property
     def n(self) -> int:

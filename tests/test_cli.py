@@ -52,6 +52,17 @@ def test_plan_reproduces_reference_counts(tmp_path):
     assert int(read_csv(out3)[2][0][2]) in (990, 991)
 
 
+def test_plan_absolute_loss_reaches_the_kappa_cap(tmp_path):
+    # at N = 1e5, p = 100 the bound is not binding, so the planner goes to its
+    # cap m = 990 and solves the absolute-loss equations at kappa = 0.99
+    out = tmp_path / "plan.csv"
+    code = main(["plan", "--mode", "fixed-N", "--N", "1e5", "--p", "100",
+                 "--regime", "high-dim", "--loss", "absolute", "--total-eps", "1",
+                 "--out", str(out)])
+    assert code == 0
+    assert read_csv(out)[2][0][2] == "990"
+
+
 def test_plan_per_coordinate_epsilon(tmp_path):
     out = tmp_path / "plan.csv"
     code = main(["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "100",

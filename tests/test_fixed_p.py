@@ -64,17 +64,6 @@ def test_ridge_gammas_null_coefficients():
     assert np.allclose(g.gamma1, lam_kl(1.0, 0, 2) * 2.0 * np.eye(2))
 
 
-def test_ridge_gamma2_variant_switch():
-    theta0 = np.array([0.5, 0.5])
-    derived = ridge_gammas(theta0, 1.0, 2.0, gamma2_variant="derived")
-    alt = ridge_gammas(theta0, 1.0, 2.0, gamma2_variant="alt")
-    diff = derived.gamma2 - alt.gamma2
-    expect = lam_kl(2.0, 2, 5) * float(theta0 @ theta0) * np.eye(2)
-    assert np.allclose(diff, expect)
-    with pytest.raises(ConfigError):
-        ridge_gammas(theta0, 1.0, 2.0, gamma2_variant="typo")
-
-
 def test_bias2_values():
     g = ols_gammas(None, 3.0, 4)
     assert np.allclose(bias2(g, 100, 7), 0)

@@ -10,7 +10,6 @@ from splitavg import (
     NoiseDist,
     QuadratureSpec,
     absolute_series,
-    expect_noise,
     expect_xi,
     loss_derivative,
     mse_ratio_exact,
@@ -18,8 +17,12 @@ from splitavg import (
     perturb_coeffs,
     solve_rc,
 )
-from splitavg.highdim import _absolute_residual_fn, _eps_axis, _smooth_residual_fn
-from splitavg.planner import HighDimRegime, PlannerProblem, predicted_error
+from splitavg.highdim import (
+    _absolute_residual_fn,
+    _eps_axis,
+    _expect_xi_adaptive,
+    _smooth_residual_fn,
+)
 
 GAUSS1 = NoiseDist.gaussian(1.0)
 
@@ -63,35 +66,14 @@ def test_expect_xi_examples():
 
 
 def test_expect_xi_adaptive_scheme_agrees():
-    q = QuadratureSpec(scheme="adaptive")
     g = lambda t: np.tanh(t) ** 2
     for noise in (GAUSS1, NoiseDist.laplace(0.8)):
         a = expect_xi(g, noise, 0.3)
-        b = expect_xi(g, noise, 0.3, q)
+        b = _expect_xi_adaptive(g, noise, 0.3, QuadratureSpec())
         assert a == pytest.approx(b, rel=1e-7)
 
 
-_ADAPTIVE = QuadratureSpec(scheme="adaptive")
 _LAP = NoiseDist.laplace(2 ** -0.5)
-_ADAPTIVE_REJECTED = {
-    "expect_noise": lambda: expect_noise(lambda t: t * t, _LAP, _ADAPTIVE),
-    "solve_rc": lambda: solve_rc(LossSpec.pseudo_huber(3.0), _LAP, 0.2, _ADAPTIVE),
-    "solve_rc_absolute": lambda: solve_rc(LossSpec.absolute(), _LAP, 0.2, _ADAPTIVE),
-    "perturb_coeffs": lambda: perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP, _ADAPTIVE),
-    "absolute_series": lambda: absolute_series(_LAP, None, _ADAPTIVE),
-    "mse_ratio_exact": lambda: mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 10, _ADAPTIVE),
-    "mse_ratio_exact_m1": lambda: mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 1, _ADAPTIVE),
-    "planner": lambda: predicted_error(PlannerProblem(
-        "fixed_n", 1000, "absolute", 1.0,
-        HighDimRegime(LossSpec.squared(), _LAP, p=100, quadrature=_ADAPTIVE)), 2.0),
-}
-
-
-@pytest.mark.parametrize("entry", sorted(_ADAPTIVE_REJECTED))
-def test_adaptive_scheme_rejected_outside_expect_xi(entry):
-    # only expect_xi has an adaptive path; the rest would silently use panels
-    with pytest.raises(ConfigError, match="adaptive"):
-        _ADAPTIVE_REJECTED[entry]()
 
 
 @pytest.mark.parametrize("nodes", [16, 64])
@@ -196,6 +178,16 @@ def test_pseudo_huber_reference_ratios():
     assert perturb_coeffs(LossSpec.pseudo_huber(3.0),
                           NoiseDist.laplace(2 ** -0.5)).ratio \
         == pytest.approx(1.30735, abs=2e-4)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99])
+@pytest.mark.parametrize("noise", [GAUSS1, NoiseDist.gaussian(10.0), _LAP],
+                         ids=["gauss1", "gauss10", "laplace-var1"])
+def test_absolute_solve_converges_up_to_kappa_one(noise, kappa):
+    # high-dim fixed-N plans probe kappa up to 0.99 (planner._max_feasible_m)
+    sol = solve_rc(LossSpec.absolute(), noise, kappa)
+    assert float(np.hypot(*sol.residuals)) <= 1e-10
+    assert sol.c > 0 and sol.r_squared > 0
 
 
 def test_perturb_coeffs_rejects_absolute_loss():
@@ -374,3 +366,38 @@ def test_perturb_coeffs_evaluates_each_derivative_once(monkeypatch):
                         lambda loss, t, k: orders.append(k) or real(loss, t, k))
     perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)
     assert orders == [1, 2, 3, 4]
+
+
+# _absolute_residual_fn(gaussian(s2))(c, rho, kappa) as (f0, f1, J00, J01, J10, J11),
+# frozen from the gaussian closed form (s = sqrt(s2 + rho), u = c / s)
+FROZEN_GAUSSIAN_ABSOLUTE_RESIDUALS = {
+    (1.0, 0.05, 0.0, 0.05): (0.010122388323255072, 0.002433526238076707, -0.7968878281895281,
+                             0.019922195704738202, 0.09601223883232551, -0.049966779732731434),
+    (1.0, 0.5, 0.4, 0.3): (-0.027396182558483417, 0.07478996172474814, -0.6167366403107255,
+                           0.11013154291262957, 0.6726038174415165, -0.2809721375968793),
+    (1.0, 2.0, 1.5, 0.6): (-0.1940967892679316, 0.7751382936483115, -0.22674330448995828,
+                           0.09069732179598329, 0.8236128429282736, -0.25938981971198494),
+    (1.0, 6.0, 20.0, 0.9): (0.090430263825524, -3.4535217157418714, -0.07388869581845026,
+                            0.010555527974064323, 2.2851631659062877, -0.5337624387362255),
+    (10.0, 0.05, 0.0, 0.05): (0.037384863022796644, 0.0024789744212880367,
+                              -0.25228171501660596, 0.0006307042875415147,
+                              0.09873848630227966, -0.0499989487736269),
+    (10.0, 0.5, 0.4, 0.3): (0.17678708833654855, 0.10943164302242808, -0.2444575789156932,
+                            0.005876384108550316, 0.8767870883365485, -0.2990158777943951),
+    (10.0, 2.0, 1.5, 0.6): (0.15534631667142207, 1.887226766503892, -0.19772503732436705,
+                            0.017193481506466702, 2.2213852666856884, -0.5507963913201561),
+    (10.0, 6.0, 20.0, 0.9): (0.17332167829229805, -0.7505489311710107, -0.07994710556069332,
+                             0.007994710556069332, 3.2798601395075764, -0.6530043116564579),
+    # s = 1e-15: far below the r -> 0 cut-off that only Laplace noise may use
+    (1e-30, 1e-15, 0.0, 0.5): (-0.18268949213708585, 5.160585509617133e-31,
+                               -483941449038286.7, 2.4197072451914336e+29,
+                               6.346210157258283e-16, -0.3012519569012009),
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_GAUSSIAN_ABSOLUTE_RESIDUALS), ids=str)
+def test_absolute_residuals_match_frozen_gaussian_closed_form(key):
+    s2, c, rho, kappa = key
+    f, jac = _absolute_residual_fn(NoiseDist.gaussian(s2), QuadratureSpec())(c, rho, kappa)
+    got = np.concatenate([f, jac.ravel()])
+    np.testing.assert_allclose(got, FROZEN_GAUSSIAN_ABSOLUTE_RESIDUALS[key], rtol=1e-10, atol=0)

@@ -150,6 +150,13 @@ def test_config_validation():
         run_replication(cfg, 3)
 
 
+@pytest.mark.parametrize("model,link", [("ols", "logistic"), ("logistic", "linear")])
+def test_config_rejects_model_fit_to_another_link(model, link):
+    # OLS on logistic-link data has a target other than theta0
+    with pytest.raises(ConfigError, match="link"):
+        _cfg(model=model, link=link)
+
+
 def test_summarize_noiseless_replications_have_ratio_one():
     # theta0 = 0 without noise: every fit is exact, err_central = err_bar = 0
     gen = GenerativeConfig(p=3, theta0=np.zeros(3), noise=NoiseDist.gaussian(0.0))
