@@ -94,6 +94,14 @@ def _integer(text: str) -> int:
     return int(value)
 
 
+def _seed(text: str) -> int:
+    """Argument type for seeds: integers >= 0, what numpy's default_rng takes."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [_integer(tok) for tok in text.split(",") if tok.strip()]
 
@@ -263,6 +271,8 @@ def _run_plan(args) -> int:
 
 
 def _run_wishart_check(args) -> int:
+    if any(p < 1 for p in args.p_grid):
+        raise UsageError("--p-grid values must be >= 1")
     rows = []
     for p in args.p_grid:
         rng = np.random.default_rng(args.seed + p)
@@ -290,7 +300,7 @@ def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
 
 def _add_replications(p: argparse.ArgumentParser) -> None:
     """Options of the subcommands that run seeded split-and-average replications."""
-    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--threads", type=_integer, default=None,
                    help="worker threads (default: SPLITAVG_THREADS or 1)")
 
@@ -383,7 +393,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
     p.add_argument("--reps", type=_integer, default=1_000_000)
     p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
-    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p, "wishart_check.csv")
     p.set_defaults(func=_run_wishart_check)
 

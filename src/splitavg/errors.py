@@ -32,24 +32,19 @@ class ProxFailureError(NumericalError):
 class SingularHessianError(NumericalError):
     """Hessian (or normal-equations matrix) is numerically singular.
 
-    From a stacked Newton fit, ``reports`` holds the fits of the slices
-    below the lowest singular one.
+    From a stacked fit, ``index`` is the lowest singular slice, counting a
+    stack in C order, and ``reports`` holds the Newton fits of the slices
+    below it.
     """
 
-    def __init__(self, message, reports=()):
+    def __init__(self, message, index=0, reports=()):
         super().__init__(message)
+        self.index = index
         self.reports = list(reports)
 
 
 class RankError(SingularHessianError):
-    """Closed-form least-squares system is rank deficient.
-
-    ``index`` is the lowest singular system, counting a stack in C order.
-    """
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
+    """Closed-form least-squares system is rank deficient."""
 
 
 class SolverFailureError(NumericalError):

@@ -19,7 +19,6 @@ from .model import Dataset, GenerativeConfig, sigma_as_matrix
 
 _SUPPORTED_PAIRS = {
     ("squared", "linear"),
-    ("ridge", "linear"),
     ("squared", "exp_nonlinear"),
     ("logistic", "logistic"),
 }
@@ -31,20 +30,19 @@ _ARMIJO_C1 = 1e-4
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Loss/link pair to be fit by empirical risk minimization."""
+    """Loss/link pair to be fit by ERM; ``penalty`` adds (penalty/2) |theta|^2 (linear link)."""
 
     loss: LossSpec
     link: str = "linear"
+    penalty: float = 0.0
 
     def __post_init__(self):
         if (self.loss.kind, self.link) not in _SUPPORTED_PAIRS:
             raise ConfigError(
                 f"unsupported loss/link combination ({self.loss.kind}, {self.link})"
             )
-
-    @property
-    def penalty(self) -> float:
-        return self.loss.penalty if self.loss.kind == "ridge" else 0.0
+        if not 0 <= self.penalty < np.inf or (self.penalty and self.link != "linear"):
+            raise ConfigError("penalty must be finite, >= 0 and on the linear link only")
 
     @property
     def is_closed_form(self) -> bool:
@@ -57,7 +55,7 @@ class ModelSpec:
 
     @staticmethod
     def ridge(penalty: float) -> "ModelSpec":
-        return ModelSpec(LossSpec.ridge(penalty), "linear")
+        return ModelSpec(LossSpec.squared(), "linear", penalty)
 
     @staticmethod
     def nonlinear_ls() -> "ModelSpec":
@@ -188,9 +186,9 @@ def fit_erm_stacked(
     legitimately never converge).  A Hessian that does not factor while
     steps remain (for a non-quadratic objective: not even after 40 growing
     Levenberg shifts) raises ``SingularHessianError`` once every slice has
-    stopped; its ``reports`` are the fits of the slices below the lowest
-    such slice.  ``trace`` receives, at the start of every pass, the
-    risks of the slices still running.
+    stopped; its ``index`` is the lowest such slice and its ``reports`` the
+    fits of the slices below it.  ``trace`` receives, at the start of every
+    pass, the risks of the slices still running.
     """
     if not model.loss.is_smooth:
         raise ConfigError("fit_erm requires a smooth loss")
@@ -278,7 +276,7 @@ def fit_erm_stacked(
         act = np.flatnonzero(running)
         iterations += 1
     if singular:
-        raise SingularHessianError("Hessian is numerically singular",
+        raise SingularHessianError("Hessian is numerically singular", index=min(singular),
                                    reports=reports[:min(singular)])
     return reports
 
@@ -306,7 +304,7 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     (``_cho_solve_stack``), so a slice of the stack equals its own fit
     bitwise.  A singular system raises ``RankError`` naming the lowest one.
     """
-    if penalty < 0:
+    if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
     n, p = X.shape[-2:]
     xt = np.swapaxes(X, -1, -2)
@@ -334,7 +332,7 @@ def ridge_population_target(theta0: np.ndarray, sigma, penalty: float) -> np.nda
 
 def population_target(gen: GenerativeConfig, model: ModelSpec) -> np.ndarray:
     """Population minimizer of the model's risk: the ridge shrinkage point, else theta0."""
-    if model.loss.kind == "ridge":
+    if model.penalty:
         return ridge_population_target(gen.theta0, gen.sigma_spec, model.penalty)
     return gen.theta0
 

@@ -1,8 +1,8 @@
 """Residual losses with analytic derivatives up to order four and proximal operators.
 
-Every loss here is a convex function of a scalar residual t.  The ridge spec
-carries its penalty but exposes only the residual part (t^2/2); the quadratic
-parameter penalty is applied by the estimator, where it belongs.
+Every loss here is a convex function of a scalar residual t: squared,
+pseudo-Huber, absolute or logistic.  Ridge is the squared loss with the
+parameter penalty of its ``estimator.ModelSpec``.
 """
 
 from __future__ import annotations
@@ -25,24 +25,20 @@ _PROX_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A residual loss: squared, ridge, pseudo_huber, absolute or logistic.
+    """A residual loss: squared, pseudo_huber (of scale ``delta``), absolute or logistic.
 
-    ``penalty`` is meaningful for ridge only, ``delta`` for pseudo_huber only.
     ``smooth_order`` is the highest derivative order available everywhere
     (absolute: 1, valid a.e.; all others: 4).
     """
 
     kind: str
-    penalty: float = 0.0
     delta: float = 3.0
 
     def __post_init__(self):
-        if self.kind not in ("squared", "ridge", "pseudo_huber", "absolute", "logistic"):
+        if self.kind not in ("squared", "pseudo_huber", "absolute", "logistic"):
             raise ConfigError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "ridge" and self.penalty < 0:
-            raise ConfigError("ridge penalty must be >= 0")
-        if self.kind == "pseudo_huber" and self.delta <= 0:
-            raise ConfigError("pseudo_huber scale delta must be > 0")
+        if self.kind == "pseudo_huber" and not 0 < self.delta < np.inf:
+            raise ConfigError("pseudo_huber scale delta must be finite and > 0")
 
     @property
     def smooth_order(self) -> int:
@@ -55,10 +51,6 @@ class LossSpec:
     @staticmethod
     def squared() -> "LossSpec":
         return LossSpec("squared")
-
-    @staticmethod
-    def ridge(penalty: float) -> "LossSpec":
-        return LossSpec("ridge", penalty=penalty)
 
     @staticmethod
     def pseudo_huber(delta: float = 3.0) -> "LossSpec":
@@ -90,7 +82,7 @@ def derivative_array(spec: LossSpec, t: np.ndarray, order: int) -> np.ndarray:
     loss, away from t = 0.
     """
     t = np.asarray(t, dtype=float)
-    if spec.kind in ("squared", "ridge"):
+    if spec.kind == "squared":
         if order == 0:
             return 0.5 * t * t
         if order == 1:
@@ -159,13 +151,13 @@ def _shrink_bracket(x, g, lo, hi):
 def prox_array(spec: LossSpec, c: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized proximal operator argmin_x {f(x) + (x-z)^2 / (2c)} and d(prox)/dz.
 
-    Closed forms for squared/ridge and absolute; safeguarded Newton on the
+    Closed forms for squared and absolute; safeguarded Newton on the
     stationarity condition x - z + c f_[1](x) = 0 for the smooth losses.
     """
     if c <= 0:
         raise ConfigError("prox parameter c must be > 0")
     z = np.asarray(z, dtype=float)
-    if spec.kind in ("squared", "ridge"):
+    if spec.kind == "squared":
         return z / (1.0 + c), np.full_like(z, 1.0 / (1.0 + c))
     if spec.kind == "absolute":
         prox = np.sign(z) * np.maximum(np.abs(z) - c, 0.0)

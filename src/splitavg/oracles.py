@@ -132,6 +132,8 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     p = w.p
     chol = np.linalg.cholesky(w.sigma)
     rng = np.random.default_rng(seed)
@@ -261,6 +263,8 @@ def mc_moment_fit(
         raise ConfigError("n_grid needs >= 3 distinct values")
     if min(n_grid) < 10 * cfg.p:
         raise ConfigError("n_grid values must be well above p")
+    if reps < 2:
+        raise ConfigError("reps must be >= 2 for standard errors")
     rng = np.random.default_rng(seed)
     bias_by_n, bias_se_by_n = {}, {}
     mse_by_n, mse_se_by_n = {}, {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MachineFitError, RankError, SingularHessianError, SplitAvgError
+from .errors import ConfigError, MachineFitError, SingularHessianError, SplitAvgError
 from .estimator import FitReport, ModelSpec, fit_closed, fit_closed_stacked, fit_erm
 from .estimator import fit_erm_stacked, population_target
 from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_rows
@@ -44,6 +44,8 @@ class ExperimentConfig:
             raise ConfigError(f"m = {self.m} must divide N = {self.N}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError("base_seed must be >= 0")
         if self.gen.link != self.model.link:
             # theta_star is the fitted model's target only under its own link
             raise ConfigError(f"data link {self.gen.link!r} does not match "
@@ -123,10 +125,8 @@ def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int) -> np.ndarra
         if model.is_closed_form:
             return fit_closed_stacked(X, y, model.penalty)
         reports, j, cause = fit_erm_stacked(X, y, model, tol=_NEWTON_TOL), None, None
-    except RankError as exc:  # closed form: the lowest singular shard
-        reports, j, cause = [], exc.index, exc
-    except SingularHessianError as exc:  # Newton: the shards below the lowest singular one
-        reports, j, cause = exc.reports, len(exc.reports), exc
+    except SingularHessianError as exc:  # the lowest singular shard and the fits below it
+        reports, j, cause = exc.reports, exc.index, exc
     for i, report in enumerate(reports):
         if not report.converged:
             j, cause = i, _unconverged(report)

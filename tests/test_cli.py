@@ -190,7 +190,8 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, argv):
     ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "0", "--total-eps", "1"],
     ["bias-mse", "--p", "0", "--N", "100", "--m-grid", "2", "--reps", "2"],
     ["wishart-check", "--reps", "1e4", "--p-grid", "0"],
-], ids=lambda argv: argv[0])
+    ["wishart-check", "--reps", "1e4", "--p-grid", "-1"],  # checked before it seeds
+], ids=["plan", "bias-mse", "wishart-check", "wishart-check-negative"])
 def test_zero_dimension_exits_one(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 1
     assert ">= 1" in capsys.readouterr().err
@@ -321,8 +322,12 @@ def test_header_names_every_option(tmp_path):
     ["table1", "--quad-nodes", "16.5"],
     ["plan", "--mode", "fixed-n", "--n", "100", "--p", "10.5", "--total-eps", "1"],
     ["wishart-check", "--seed", "0.5", "--p-grid", "1"],
+    # seeds are also integers >= 0, what numpy's default_rng takes
+    ["ratio-sweep", "--seed", "-1", "--reps", "2"],
+    ["wishart-check", "--seed", "-5", "--reps", "1e4", "--p-grid", "1"],
 ], ids=["n-grid", "bias-mse-N", "m-grid", "n", "plan-N", "reps", "ratio-sweep-reps", "p", "m",
-        "seed", "threads", "bias-mse-reps", "highdim-m", "quad-nodes", "plan-p", "wishart-seed"])
+        "seed", "threads", "bias-mse-reps", "highdim-m", "quad-nodes", "plan-p", "wishart-seed",
+        "negative-seed", "wishart-negative-seed"])
 def test_fractional_integers_are_usage_errors(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert main([*argv, "--out", str(out)]) == 1

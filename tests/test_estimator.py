@@ -34,6 +34,9 @@ def test_closed_form_tiny_examples():
     assert fit_closed(d, 0.0)[0] == pytest.approx(2.0)
     assert fit_closed(d, 1.0)[0] == pytest.approx(1.0)
     assert abs(fit_closed(d, 1e9)[0]) < 1e-8
+    for penalty in (-1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            fit_closed(d, penalty)
 
 
 @pytest.mark.parametrize("m", [1, 2, 40])
@@ -264,5 +267,14 @@ def test_model_spec_validation():
         ModelSpec(LossSpec.absolute(), "linear")
     with pytest.raises(ConfigError):
         ModelSpec(LossSpec.logistic(), "linear")
+    for penalty in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ModelSpec.ridge(penalty)
+    # a penalized nonlinear fit would not target theta0
+    with pytest.raises(ConfigError, match="linear link"):
+        ModelSpec(LossSpec.logistic(), "logistic", 0.5)
+    with pytest.raises(ConfigError, match="linear link"):
+        ModelSpec(LossSpec.squared(), "exp_nonlinear", 0.5)
+    assert ModelSpec.ridge(0.0) == ModelSpec.ols()
     with pytest.raises(ConfigError):
         fit_erm(_data()[0], ModelSpec.ols(), tol=0.0)

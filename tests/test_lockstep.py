@@ -137,6 +137,7 @@ def test_singular_slice_raises_with_the_fits_below_it():
     model = ModelSpec.ols()
     with pytest.raises(SingularHessianError) as info:
         fit_erm_stacked(X, y, model)
+    assert info.value.index == 1
     assert len(info.value.reports) == 1
     _assert_same_reports(info.value.reports, [fit_erm(Dataset(X[0], y[0]), model)])
     assert info.value.reports[0].converged

@@ -10,6 +10,7 @@ from splitavg import losses
 from splitavg import (
     ConfigError,
     LossSpec,
+    ModelSpec,
     NonDifferentiableError,
     UnsupportedDerivativeError,
     loss_derivative,
@@ -19,7 +20,6 @@ from splitavg.losses import prox_array
 
 SMOOTH_SPECS = [
     LossSpec.squared(),
-    LossSpec.ridge(0.7),
     LossSpec.pseudo_huber(3.0),
     LossSpec.pseudo_huber(0.8),
     LossSpec.logistic(),
@@ -185,9 +185,10 @@ def test_prox_rejects_nonpositive_c():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         LossSpec("huber")
+    for delta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            LossSpec.pseudo_huber(delta)
     with pytest.raises(ConfigError):
-        LossSpec.pseudo_huber(0.0)
-    with pytest.raises(ConfigError):
-        LossSpec.ridge(-0.1)
+        ModelSpec.ridge(-0.1)
     assert LossSpec.absolute().smooth_order == 1
     assert LossSpec.logistic().smooth_order == 4

@@ -40,6 +40,8 @@ def test_identity_validation():
         WishartIdentity("E_S", np.eye(0), np.zeros((0, 0)))
     with pytest.raises(ConfigError):
         wishart_check(WishartIdentity("E_S", np.eye(2), np.eye(2)), reps=100, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        wishart_check(WishartIdentity("E_S", np.eye(2), np.eye(2)), reps=10_000, seed=-5)
 
 
 @pytest.mark.parametrize("ident", ALL_IDENTITY_IDS)
@@ -114,6 +116,9 @@ def test_mc_moment_fit_grid_validation():
         mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[100, 100, 100], reps=1000, seed=0)
     with pytest.raises(ConfigError):
         mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[5, 10, 15], reps=1000, seed=0)
+    for reps in (0, 1):
+        with pytest.raises(ConfigError, match="reps"):
+            mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[100, 200, 400], reps=reps, seed=0)
 
 
 def test_mc_moment_fit_erm_path_matches_closed_form_path():

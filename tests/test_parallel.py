@@ -145,6 +145,8 @@ def test_config_validation():
         _cfg(N=401, m=4)
     with pytest.raises(ConfigError):
         _cfg(reps=0)
+    with pytest.raises(ConfigError, match="seed"):
+        _cfg(seed=-1)
     cfg = _cfg(reps=3)
     with pytest.raises(ConfigError):
         run_replication(cfg, 3)
