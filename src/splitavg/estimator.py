@@ -302,7 +302,8 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
     (..., p).  Every system gets the LAPACK calls of a lone 2-D solve
     (``_cho_solve_stack``), so a slice of the stack equals its own fit
-    bitwise.  A singular system raises ``RankError`` naming the lowest one.
+    bitwise.  A singular system, or one whose solution is not finite (NaN or
+    inf data), raises ``RankError`` naming the lowest one.
     """
     if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
@@ -311,6 +312,7 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
     a = xt @ X / n + penalty * np.eye(p)
     b = xt @ y[..., None] / n
     theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
+    ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
     if not ok.all():
         raise RankError("normal equations are singular (rank-deficient design)",
                         index=int(np.argmin(ok)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularHessianError
+from .errors import ConfigError
 from .model import sigma_as_matrix
 
 
@@ -64,11 +64,7 @@ def ols_gammas(sigma, sigma2: float, p: int) -> GammaSet:
     """Expansion moments for OLS under the linear model with noise variance sigma2."""
     if sigma2 < 0:
         raise ConfigError("noise variance must be >= 0")
-    sig = sigma_as_matrix(sigma, p)
-    try:
-        sig_inv = np.linalg.inv(sig)
-    except np.linalg.LinAlgError:
-        raise SingularHessianError("design covariance is singular") from None
+    sig_inv = np.linalg.inv(sigma_as_matrix(sigma, p))
     sig_inv = (sig_inv + sig_inv.T) / 2.0
     core = sigma2 * sig_inv
     zero = np.zeros((p, p))

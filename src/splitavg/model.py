@@ -50,18 +50,47 @@ class NoiseDist:
         return NoiseDist("laplace", scale)
 
 
-def sigma_as_matrix(sigma_spec, p: int) -> np.ndarray:
-    """Expand a covariance spec (None = identity, 1-d diagonal, 2-d dense) to p x p."""
-    if sigma_spec is None:
-        return np.eye(p)
-    arr = np.asarray(sigma_spec, dtype=float)
+def _covariance(sigma_spec, p: int):
+    """The one covariance rule: a spec's checked p x p matrix and its lower Cholesky factor.
+
+    A spec (None = identity, 1-d diagonal, 2-d dense) must be finite, symmetric
+    and positive definite.  The factor is None for an exact identity.
+    """
+    arr = np.eye(p) if sigma_spec is None else np.asarray(sigma_spec, dtype=float)
     if arr.ndim == 1:
         if arr.shape != (p,):
             raise ConfigError(f"diagonal covariance must have length {p}")
-        return np.diag(arr)
-    if arr.shape != (p, p):
+        arr = np.diag(arr)
+    elif arr.shape != (p, p):
         raise ConfigError(f"covariance must be {p} x {p}")
-    return arr
+    if not np.isfinite(arr).all():
+        raise ConfigError("covariance must be finite")
+    if not np.allclose(arr, arr.T, atol=1e-12):
+        raise ConfigError("covariance must be symmetric")
+    if np.array_equal(arr, np.eye(p)):
+        return arr, None
+    try:
+        return arr, np.linalg.cholesky(arr)
+    except np.linalg.LinAlgError:
+        raise ConfigError("covariance must be positive definite") from None
+
+
+def sigma_as_matrix(sigma_spec, p: int) -> np.ndarray:
+    """Expand a covariance spec (None = identity, 1-d diagonal, 2-d dense) to p x p, checked."""
+    return _covariance(sigma_spec, p)[0]
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """``default_rng(seed)`` for a seed that must be >= 0."""
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
+    return np.random.default_rng(seed)
+
+
+def _gaussian(shape: tuple, chol, rng: np.random.Generator) -> np.ndarray:
+    """Rows x ~ N(0, chol chol') of ``shape`` (last axis p); chol None is the identity."""
+    x = rng.standard_normal(shape)
+    return x if chol is None else x @ chol.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +102,7 @@ class GenerativeConfig:
     noise: NoiseDist
     link: str = "linear"
     sigma_spec: object = None  # None (identity), length-p diagonal, or dense PSD
-    _chol: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _chol: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # None: I
 
     def __post_init__(self):
         if self.p < 1:
@@ -84,14 +113,7 @@ class GenerativeConfig:
         if theta0.shape != (self.p,):
             raise ConfigError(f"theta0 must have shape ({self.p},)")
         object.__setattr__(self, "theta0", theta0)
-        sigma = sigma_as_matrix(self.sigma_spec, self.p)
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
-            raise ConfigError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise ConfigError("covariance must be positive definite") from None
-        object.__setattr__(self, "_chol", chol)
+        object.__setattr__(self, "_chol", _covariance(self.sigma_spec, self.p)[1])
 
     @property
     def sigma(self) -> np.ndarray:
@@ -136,9 +158,7 @@ def _draw(cfg: GenerativeConfig, shape: tuple, rng: np.random.Generator):
     Draw order is fixed (design, then noise/uniforms) so results are
     bit-reproducible for a given (cfg, shape, rng state).
     """
-    X = rng.standard_normal((*shape, cfg.p))
-    if cfg.sigma_spec is not None:
-        X = X @ cfg._chol.T
+    X = _gaussian((*shape, cfg.p), cfg._chol, rng)
     s = X @ cfg.theta0
     if cfg.link == "linear":
         y = s + sample_noise(cfg.noise, shape, rng)
@@ -154,7 +174,7 @@ def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. samples from the generative model, deterministically in seed."""
     if n < 1:
         raise ConfigError("n must be >= 1")
-    return Dataset(*_draw(cfg, (n,), np.random.default_rng(seed)))
+    return Dataset(*_draw(cfg, (n,), _rng(seed)))
 
 
 def split_rows(n: int, m: int, seed: int) -> np.ndarray:
@@ -166,7 +186,7 @@ def split_rows(n: int, m: int, seed: int) -> np.ndarray:
         raise ConfigError("machine count m must be >= 1")
     if n % m != 0:
         raise DivisibilityError(f"m = {m} does not divide n = {n}")
-    return np.random.default_rng(seed).permutation(n).reshape(m, n // m)
+    return _rng(seed).permutation(n).reshape(m, n // m)
 
 
 def split_uniform(d: Dataset, m: int, seed: int) -> list[Dataset]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimator import ModelSpec, fit_closed_stacked, fit_erm, population_target
-from .model import GenerativeConfig, _draw, sample_dataset
+from .model import GenerativeConfig, _covariance, _draw, _gaussian, _rng, sample_dataset
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
 SECOND_KIND_IDS = (
@@ -39,24 +39,24 @@ class WishartIdentity:
     """
 
     id: str
-    sigma: np.ndarray
+    sigma: np.ndarray  # a covariance spec, as for GenerativeConfig; kept as the matrix
     B: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False, default=None)  # None: Sigma = I
 
     def __post_init__(self):
         if self.id not in ALL_IDENTITY_IDS:
             raise ConfigError(f"unknown identity {self.id!r}")
         B = np.asarray(self.B, dtype=float)
-        sigma = np.asarray(self.sigma, dtype=float)
         if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
             raise ConfigError("B must be square with p >= 1")
         if not np.allclose(B, B.T, atol=1e-12 * (1 + np.abs(B).max())):
             raise ConfigError("B must be symmetric")
-        if sigma.shape != B.shape:
-            raise ConfigError("Sigma and B shapes must match")
+        sigma, chol = _covariance(self.sigma, B.shape[0])
         if self.id in SECOND_KIND_IDS and not np.allclose(sigma, np.eye(B.shape[0])):
             raise ConfigError(f"{self.id} requires Sigma = I")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def p(self) -> int:
@@ -132,17 +132,14 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
+    rng = _rng(seed)
     p = w.p
-    chol = np.linalg.cholesky(w.sigma)
-    rng = np.random.default_rng(seed)
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
     for done in range(0, reps, _WISHART_CHUNK):
         c = min(_WISHART_CHUNK, reps - done)
-        x1 = rng.standard_normal((c, p)) @ chol.T
-        x2 = rng.standard_normal((c, p)) @ chol.T
+        x1 = _gaussian((c, p), w._chol, rng)
+        x2 = _gaussian((c, p), w._chol, rng)
         wt, u, v = _mc_terms(w, x1, x2)
         total += (u * wt[:, None]).T @ v
         total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
@@ -265,7 +262,7 @@ def mc_moment_fit(
         raise ConfigError("n_grid values must be well above p")
     if reps < 2:
         raise ConfigError("reps must be >= 2 for standard errors")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     bias_by_n, bias_se_by_n = {}, {}
     mse_by_n, mse_se_by_n = {}, {}
     for n in n_grid:

@@ -10,7 +10,7 @@ high-dimensional first-order law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -38,11 +38,11 @@ class HighDimRegime:
     p: int
     sigma: object = None  # covariance spec; None = identity
     quadrature: QuadratureSpec | None = None
+    tr_sigma_inv: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def tr_sigma_inv(self) -> float:
+    def __post_init__(self):
         sig = sigma_as_matrix(self.sigma, self.p)
-        return float(np.trace(np.linalg.inv(sig)))
+        object.__setattr__(self, "tr_sigma_inv", float(np.trace(np.linalg.inv(sig))))
 
 
 @dataclass(frozen=True)

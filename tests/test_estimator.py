@@ -23,6 +23,11 @@ from splitavg import (
 )
 
 
+# indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
+BAD_SIGMAS = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.1], [0.0, 1.0]]),
+              np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(3)]
+
+
 def _data(n=400, p=4, sigma2=1.0, seed=0, link="linear"):
     cfg = GenerativeConfig(p=p, theta0=np.arange(1.0, p + 1) / p,
                            noise=NoiseDist.gaussian(sigma2), link=link)
@@ -37,6 +42,12 @@ def test_closed_form_tiny_examples():
     for penalty in (-1.0, float("nan")):
         with pytest.raises(ConfigError):
             fit_closed(d, penalty)
+    X = np.random.default_rng(0).standard_normal((20, 2))
+    for bad in (np.nan, np.inf):  # LAPACK factors a NaN Gram without complaint
+        X_bad = X.copy()
+        X_bad[3, 1] = bad
+        with pytest.raises(RankError):
+            fit_closed(Dataset(X_bad, np.ones(20)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 40])
@@ -195,6 +206,9 @@ def test_ridge_population_target_values():
     sigma = np.array([[2.0, 0.0], [0.0, 1.0]])
     expect = np.linalg.solve(sigma + np.eye(2), sigma @ theta0)
     assert np.allclose(ridge_population_target(theta0, sigma, 1.0), expect)
+    for bad in BAD_SIGMAS:
+        with pytest.raises(ConfigError, match="covariance"):
+            ridge_population_target(theta0, bad, 1.0)
 
 
 def test_exp_link_fit_recovers_truth():

@@ -132,6 +132,12 @@ def test_config_validation():
         NoiseDist.gaussian(-1.0)
     with pytest.raises(ConfigError):
         sample_dataset(_cfg(), 0, seed=0)
+    with pytest.raises(ConfigError, match="finite"):
+        _cfg(p=2, sigma=np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ConfigError, match="seed"):
+        sample_dataset(_cfg(), 10, seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        split_uniform(sample_dataset(_cfg(), 10, seed=0), 2, seed=-1)
 
 
 @pytest.mark.parametrize("make,param", [

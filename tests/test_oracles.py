@@ -18,6 +18,10 @@ from splitavg.estimator import fit_closed, population_target
 from splitavg.model import Dataset, sample_noise
 from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS, _closed_form_errors
 
+# indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
+BAD_SIGMAS = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.1], [0.0, 1.0]]),
+              np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(3)]
+
 
 def test_closed_form_examples():
     sigma = np.array([[2.0, 0.3], [0.3, 1.0]])
@@ -42,6 +46,9 @@ def test_identity_validation():
         wishart_check(WishartIdentity("E_S", np.eye(2), np.eye(2)), reps=100, seed=0)
     with pytest.raises(ConfigError, match="seed"):
         wishart_check(WishartIdentity("E_S", np.eye(2), np.eye(2)), reps=10_000, seed=-5)
+    for sigma in BAD_SIGMAS:
+        with pytest.raises(ConfigError, match="covariance"):
+            WishartIdentity("E_S", sigma, np.eye(2))
 
 
 @pytest.mark.parametrize("ident", ALL_IDENTITY_IDS)
@@ -119,6 +126,8 @@ def test_mc_moment_fit_grid_validation():
     for reps in (0, 1):
         with pytest.raises(ConfigError, match="reps"):
             mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[100, 200, 400], reps=reps, seed=0)
+    with pytest.raises(ConfigError, match="seed"):
+        mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[100, 200, 400], reps=10, seed=-1)
 
 
 def test_mc_moment_fit_erm_path_matches_closed_form_path():

@@ -21,6 +21,11 @@ from splitavg import (
 )
 
 
+# indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
+BAD_SIGMAS = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.1], [0.0, 1.0]]),
+              np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(3)]
+
+
 def ols_problem(mode, size, eps, constraint="absolute", p=100, sigma2=10.0):
     return PlannerProblem(mode=mode, size=size, constraint=constraint, eps=eps,
                           regime=FixedPRegime(ols_gammas(None, sigma2, p)))
@@ -150,6 +155,15 @@ def test_problem_validation():
     prob = ols_problem("fixed_n", 100, 1.0)
     with pytest.raises(ConfigError):
         predicted_error(prob, 0)
+    for sigma in BAD_SIGMAS:
+        with pytest.raises(ConfigError, match="covariance"):
+            ols_gammas(sigma, 1.0, 2)
+        with pytest.raises(ConfigError, match="covariance"):
+            HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(1.0), 2, sigma)
+    # an indefinite Sigma once planned m = 495 with a negative achieved error
+    with pytest.raises(ConfigError, match="positive definite"):
+        choose_m(PlannerProblem("fixed_N", 1000, "absolute", 1e-3, HighDimRegime(
+            LossSpec.squared(), NoiseDist.gaussian(1.0), 2, BAD_SIGMAS[0])))
 
 
 # predicted_error's arguments for the C4 problems, frozen before the two
@@ -196,3 +210,19 @@ def test_fixed_n_root_between_last_doubling_and_cap():
     assert result.m == 8 * 10 ** 11
     assert result.binding
     assert result.achieved_error == pytest.approx(3.75e-12, rel=1e-9)
+
+
+def test_high_dim_plan_inverts_sigma_only_at_construction(monkeypatch):
+    regime = HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(1.0), 100,
+                           sigma=np.linspace(0.5, 2.0, 100))
+    inverses = []
+    real = np.linalg.inv
+
+    def counting(a):
+        inverses.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    result = choose_m(PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime))
+    assert result.m > 1
+    assert inverses == []

@@ -125,3 +125,20 @@ def test_middle_singular_linear_shard_is_named(monkeypatch, model):
     assert type(info.value.__cause__) is RankError
     assert str(info.value) == ("machine 3 failed: normal equations are singular "
                                "(rank-deficient design)")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(1.0)], ids=["ols", "ridge"])
+def test_non_finite_shard_is_named(model, bad):
+    # LAPACK factors a NaN Gram without complaint; the shard fit must still fail
+    gen = _gen(4, "gaussian", "identity")
+    cfg = ExperimentConfig(gen=gen, model=model, N=400, m=8, replications=1, base_seed=2)
+    d = parallel.sample_dataset(gen, cfg.N, 0)
+    X = d.X.copy()
+    X[split_rows(cfg.N, cfg.m, 7)[5], 2] = bad
+    with pytest.raises(MachineFitError) as info:
+        parallel._shard_fits(Dataset(X, d.y), cfg, 7)
+    assert info.value.machine_index == 5
+    assert type(info.value.__cause__) is RankError
+    assert str(info.value) == ("machine 5 failed: normal equations are singular "
+                               "(rank-deficient design)")
