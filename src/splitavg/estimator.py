@@ -309,8 +309,9 @@ def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np
         raise ConfigError("penalty must be >= 0")
     n, p = X.shape[-2:]
     xt = np.swapaxes(X, -1, -2)
-    a = xt @ X / n + penalty * np.eye(p)
-    b = xt @ y[..., None] / n
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solution fails below
+        a = xt @ X / n + penalty * np.eye(p)
+        b = xt @ y[..., None] / n
     theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
     ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
     if not ok.all():

@@ -7,7 +7,6 @@ parameter penalty of its ``estimator.ModelSpec``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -102,6 +102,7 @@ class GenerativeConfig:
     noise: NoiseDist
     link: str = "linear"
     sigma_spec: object = None  # None (identity), length-p diagonal, or dense PSD
+    sigma: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # p x p
     _chol: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # None: I
 
     def __post_init__(self):
@@ -112,12 +113,10 @@ class GenerativeConfig:
         theta0 = np.asarray(self.theta0, dtype=float)
         if theta0.shape != (self.p,):
             raise ConfigError(f"theta0 must have shape ({self.p},)")
+        sigma, chol = _covariance(self.sigma_spec, self.p)
         object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "_chol", _covariance(self.sigma_spec, self.p)[1])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return sigma_as_matrix(self.sigma_spec, self.p)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_chol", chol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import ModelSpec, fit_closed_stacked, fit_erm, population_target
+from .estimator import ModelSpec, fit_closed_stacked, fit_erm_stacked, population_target
+from .estimator import fit_erm  # unused here; bench/tracing.py wraps oracles.fit_erm
 from .model import GenerativeConfig, _covariance, _draw, _gaussian, _rng, sample_dataset
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
@@ -28,6 +29,7 @@ SECOND_KIND_IDS = (
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
 _WISHART_CHUNK = 200_000  # draws per pass of wishart_check: bounds its memory
+_NEWTON_CHUNK = 5e5  # design elements per stacked Newton fit of mc_moment_fit: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,30 +182,29 @@ class MomentFitResult:
     fit_residual_mse: float = 0.0
 
 
-def _closed_form_errors(cfg, model, n, reps, rng):
-    """Closed-form OLS/ridge errors, stacked over replications."""
-    chunk = max(1, int(2e7 / (n * cfg.p)))
-    fits = []
-    for done in range(0, reps, chunk):
-        # no names for the draws: a chunk's design is freed before the next is drawn
-        fits.append(fit_closed_stacked(*_draw(cfg, (min(chunk, reps - done), n), rng),
-                                       model.penalty))
-    return np.concatenate(fits) - population_target(cfg, model)
+def _errors(cfg, model, n, reps, rng):
+    """Errors of ``reps`` fits at size n, one stacked fit per chunk of replications.
 
-
-def _erm_errors(cfg, model, n, reps, rng):
+    Warns once with the count of Newton fits that did not converge.
+    """
     target = population_target(cfg, model)
-    out = np.empty((reps, cfg.p))
-    failed = 0
-    for r in range(reps):
-        d = sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1)))
-        report = fit_erm(d, model, init=target.copy(), tol=1e-8)
-        out[r] = report.theta_hat - target
-        failed += not report.converged
+    chunk = max(1, int((2e7 if model.is_closed_form else _NEWTON_CHUNK) / (n * cfg.p)))
+    fits, failed = [], 0
+    for done in range(0, reps, chunk):
+        c = min(chunk, reps - done)
+        if model.is_closed_form:
+            # no names for the draws: a chunk's design is freed before the next is drawn
+            fits.append(fit_closed_stacked(*_draw(cfg, (c, n), rng), model.penalty))
+            continue
+        ds = [sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1))) for _ in range(c)]
+        reports = fit_erm_stacked(np.array([d.X for d in ds]), np.array([d.y for d in ds]),
+                                  model, init=target, tol=1e-8)
+        fits.append([r.theta_hat for r in reports])
+        failed += sum(not r.converged for r in reports)
     if failed:
         warnings.warn(f"{failed} of {reps} Newton fits did not converge at n = {n} "
                       "and are averaged in as they stopped", RuntimeWarning)
-    return out
+    return np.concatenate(fits) - target
 
 
 def _wls(n_grid, values, ses):
@@ -266,8 +267,7 @@ def mc_moment_fit(
     bias_by_n, bias_se_by_n = {}, {}
     mse_by_n, mse_se_by_n = {}, {}
     for n in n_grid:
-        errs = (_closed_form_errors if model.is_closed_form else _erm_errors)(
-            cfg, model, n, reps, rng)
+        errs = _errors(cfg, model, n, reps, rng)
         bias_by_n[n] = errs.mean(axis=0)
         bias_se_by_n[n] = errs.std(axis=0, ddof=1) / np.sqrt(reps)
         prods = np.einsum("ri,rj->rij", errs, errs)

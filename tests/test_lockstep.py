@@ -9,6 +9,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrf as sp_potrf
 
 import splitavg.estimator as est
+import splitavg.oracles as oracles
 from splitavg import (
     Dataset,
     ExperimentConfig,
@@ -240,3 +241,29 @@ def test_moment_fit_matches_frozen_fit_erm_loop(link):
     got = _digest(*[f.bias_by_n[n] for n in f.n_grid], *[f.mse_by_n[n] for n in f.n_grid],
                   np.array(f.bias_coeffs), np.array(f.mse_coeffs))
     assert got == want
+
+
+@pytest.mark.parametrize("link", sorted(FROZEN_MOMENT_FITS))
+def test_moment_fit_fits_each_chunk_in_one_stacked_call(monkeypatch, link):
+    want, model, noise = FROZEN_MOMENT_FITS[link]
+    cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]), noise=noise, link=link)
+    sizes, per_replication = [], []
+    stacked = oracles.fit_erm_stacked
+    monkeypatch.setattr(oracles, "fit_erm_stacked",
+                        lambda X, *a, **k: sizes.append(len(X)) or stacked(X, *a, **k))
+    for module in (oracles, est):
+        monkeypatch.setattr(module, "fit_erm", lambda *a, **k: per_replication.append(a))
+    # the default chunk holds all 50 replications; 3600 design elements
+    # make chunks of 20, 10 and 5 at n = 60, 120 and 240
+    for budget, want_sizes in [(oracles._NEWTON_CHUNK, [50, 50, 50]),
+                               (3600, [20, 20, 10] + [10] * 5 + [5] * 10)]:
+        monkeypatch.setattr(oracles, "_NEWTON_CHUNK", budget)
+        sizes.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            f = mc_moment_fit(cfg, model, n_grid=[60, 120, 240], reps=50, seed=3)
+        assert sizes == want_sizes
+        assert per_replication == []
+        got = _digest(*[f.bias_by_n[n] for n in f.n_grid], *[f.mse_by_n[n] for n in f.n_grid],
+                      np.array(f.bias_coeffs), np.array(f.mse_coeffs))
+        assert got == want

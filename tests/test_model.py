@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitavg.model as model
+
 from splitavg import (
     ConfigError,
     DivisibilityError,
@@ -147,3 +149,18 @@ def test_config_validation():
 def test_noise_parameter_must_be_finite(make, param):
     with pytest.raises(ConfigError):
         make(param)
+
+
+@pytest.mark.parametrize("spec", [None, np.array([1.0, 2.0, 0.5]),
+                                  np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])],
+                         ids=["identity", "diagonal", "dense"])
+def test_sigma_is_the_matrix_checked_at_construction(monkeypatch, spec):
+    cfg = _cfg(sigma=spec)
+    calls = []
+    covariance = model._covariance
+    monkeypatch.setattr(model, "_covariance", lambda *a: calls.append(a) or covariance(*a))
+    reads = [cfg.sigma for _ in range(3)]
+    assert calls == []
+    want = model.sigma_as_matrix(spec, 3)
+    for got in reads:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -16,7 +16,8 @@ from splitavg import (
 )
 from splitavg.estimator import fit_closed, population_target
 from splitavg.model import Dataset, sample_noise
-from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS, _closed_form_errors
+from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS
+from splitavg.oracles import _errors as _closed_form_errors
 
 # indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
 BAD_SIGMAS = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.1], [0.0, 1.0]]),

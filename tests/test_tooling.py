@@ -1,0 +1,45 @@
+"""Static checks that stand in for a linter: tracer targets resolve, no unused imports."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "splitavg"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # bench/run.py --trace 1 wraps these; a refactor that drops one breaks it
+    for module, attr, _ in _tracing().WRAPPED:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse((PACKAGE / path).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = importlib.import_module(f"splitavg.{Path(path).stem}")
+    traced = {attr for mod, attr, _ in _tracing().WRAPPED if mod is module}
+    unused = set(_imported_names(tree)) - used - traced
+    assert not unused, f"{path} imports {sorted(unused)} and never uses them"
