@@ -94,20 +94,19 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _seed(text: str) -> int:
-    """Argument type for seeds: integers >= 0, what numpy's default_rng takes."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+def _at_least(low: int):
+    """Argument type for integers >= low (seeds: 0, what numpy's default_rng takes)."""
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
-def _int_list(text: str) -> list[int]:
-    return [_integer(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+def _list_of(item):
+    """Argument type for comma-separated lists whose elements each parse with ``item``."""
+    return lambda text: [item(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _fmt(x) -> str:
@@ -134,20 +133,6 @@ def _write_csv(args, header: list[str], rows: list) -> None:
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        source, text = "--threads", str(args.threads)
-    else:
-        source, text = "SPLITAVG_THREADS", os.environ.get("SPLITAVG_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise UsageError(f"{source} must be a positive integer, got {text!r}")
-    return threads
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners
 # ---------------------------------------------------------------------------
@@ -160,7 +145,7 @@ def _summary(args, p: int, N: int, m: int):
                            link=model.link)
     cfg = ExperimentConfig(gen=gen, model=model, N=N, m=m, replications=args.reps,
                            base_seed=args.seed)
-    return summarize(run_experiment(cfg, threads=_threads(args)))
+    return summarize(run_experiment(cfg, threads=args.threads))
 
 
 def _run_ratio_sweep(args) -> int:
@@ -217,40 +202,37 @@ def _run_highdim_sweep(args) -> int:
 
 
 def _run_table1(args) -> int:
-    gauss = NoiseDist.gaussian(args.sigma2)
-    lap = NoiseDist.laplace(args.laplace_scale)
+    noises = [("gaussian", NoiseDist.gaussian(args.sigma2)),
+              ("laplace", NoiseDist.laplace(args.laplace_scale))]
     q = QuadratureSpec(nodes=args.quad_nodes)
-    kappas = args.kappa_grid
     rows = []
     for loss_name, loss in [("squared", LossSpec.squared()),
                             ("pseudo_huber", LossSpec.pseudo_huber(args.delta))]:
-        for noise_name, noise in [("gaussian", gauss), ("laplace", lap)]:
-            pc = perturb_coeffs(loss, noise, q)
-            rows.append((loss_name, noise_name, pc.ratio))
-    for noise_name, noise in [("gaussian", gauss), ("laplace", lap)]:
-        r1, r2 = absolute_series(noise, kappas, q)
+        for noise_name, noise in noises:
+            rows.append((loss_name, noise_name, perturb_coeffs(loss, noise, q).ratio))
+    for noise_name, noise in noises:
+        r1, r2 = absolute_series(noise, args.kappa_grid, q)
         rows.append(("absolute", noise_name, r2 / r1))
     _write_csv(args, ["loss", "noise", "r2_over_r1"], rows)
     return 0
 
 
 def _run_plan(args) -> int:
-    if args.total_eps is not None and args.per_coord_eps is not None:
-        raise UsageError("give either --total-eps or --per-coord-eps, not both")
-    if args.constraint == "relative":
-        if args.rel_eps is None:
-            raise UsageError("relative constraint needs --rel-eps")
-        eps = args.rel_eps
-    else:
-        if args.total_eps is not None:
-            eps = args.total_eps
-        elif args.per_coord_eps is not None:
-            eps = args.per_coord_eps * args.p
-        else:
-            raise UsageError("absolute constraint needs --total-eps or --per-coord-eps")
+    # the three bounds are mutually exclusive, so at most one is set
+    relative = args.constraint == "relative"
+    eps = args.rel_eps if relative else args.total_eps
+    if not relative and args.per_coord_eps is not None:
+        eps = args.per_coord_eps * args.p
+    if eps is None:
+        need = "--rel-eps" if relative else "--total-eps or --per-coord-eps"
+        raise UsageError(f"{args.constraint} constraint needs {need}")
     if args.regime == "fixed-p":
+        if args.loss != "squared":
+            raise UsageError(f"the fixed-p regime plans squared loss, not --loss {args.loss}")
         regime = FixedPRegime(_gammas_for(args))
     else:
+        if args.model != "ols":
+            raise UsageError(f"the high-dim regime plans ols, not --model {args.model}")
         loss = {"squared": LossSpec.squared(),
                 "pseudo-huber": LossSpec.pseudo_huber(args.delta),
                 "absolute": LossSpec.absolute()}[args.loss]
@@ -271,8 +253,6 @@ def _run_plan(args) -> int:
 
 
 def _run_wishart_check(args) -> int:
-    if any(p < 1 for p in args.p_grid):
-        raise UsageError("--p-grid values must be >= 1")
     rows = []
     for p in args.p_grid:
         rng = np.random.default_rng(args.seed + p)
@@ -293,16 +273,10 @@ def _run_wishart_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, default_out: str) -> None:
+def _add_common(p: argparse.ArgumentParser, run, default_out: str) -> None:
     p.add_argument("--out", default=default_out, help="output CSV path")
     p.add_argument("--config", default=None, help="flat key=value defaults file")
-
-
-def _add_replications(p: argparse.ArgumentParser) -> None:
-    """Options of the subcommands that run seeded split-and-average replications."""
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--threads", type=_integer, default=None,
-                   help="worker threads (default: SPLITAVG_THREADS or 1)")
+    p.set_defaults(func=run)
 
 
 def _add_noise(p: argparse.ArgumentParser, sigma2: float) -> None:
@@ -310,6 +284,22 @@ def _add_noise(p: argparse.ArgumentParser, sigma2: float) -> None:
     p.add_argument("--sigma2", type=_finite, default=sigma2,
                    help="gaussian noise variance")
     p.add_argument("--laplace-scale", type=_finite, default=1.0)
+
+
+def _add_replications(p: argparse.ArgumentParser, run, out: str, *, reps: int,
+                      penalty: float, theta_norm: float, sigma2: float) -> None:
+    """Options after the grid of the subcommands that run seeded replications,
+    in header order: the '#' line follows the order of ``vars(args)``."""
+    p.add_argument("--reps", type=_integer, default=reps)
+    p.add_argument("--penalty", type=_finite, default=penalty)
+    p.add_argument("--theta-norm", type=_finite, default=theta_norm)
+    _add_noise(p, sigma2)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    # argparse runs a string default through the type: one syntax, one check
+    p.add_argument("--threads", type=_at_least(1),
+                   default=os.environ.get("SPLITAVG_THREADS", "1"),
+                   help="worker threads (default: SPLITAVG_THREADS or 1)")
+    _add_common(p, run, out)
 
 
 def build_parser() -> _Parser:
@@ -321,40 +311,25 @@ def build_parser() -> _Parser:
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
     p.add_argument("--p", type=_integer, default=10)
     p.add_argument("--m", type=_integer, default=10)
-    p.add_argument("--n-grid", type=_int_list, default=[50, 200, 1000])
-    p.add_argument("--reps", type=_integer, default=200)
-    p.add_argument("--penalty", type=_finite, default=0.1)
-    p.add_argument("--theta-norm", type=_finite, default=1.0)
-    _add_noise(p, sigma2=10.0)
-    _add_replications(p)
-    _add_common(p, "ratio_sweep.csv")
-    p.set_defaults(func=_run_ratio_sweep)
+    p.add_argument("--n-grid", type=_list_of(_integer), default=[50, 200, 1000])
+    _add_replications(p, _run_ratio_sweep, "ratio_sweep.csv", reps=200, penalty=0.1,
+                      theta_norm=1.0, sigma2=10.0)
 
     p = sub.add_parser("bias-mse", help="bias and MSE vs theory along m")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
     p.add_argument("--p", type=_integer, default=20)
     p.add_argument("--N", type=_integer, default=20000)
-    p.add_argument("--m-grid", type=_int_list, default=[10, 20, 40])
-    p.add_argument("--reps", type=_integer, default=1000)
-    p.add_argument("--penalty", type=_finite, default=1.0)
-    p.add_argument("--theta-norm", type=_finite, default=10.0)
-    _add_noise(p, sigma2=2.0)
-    _add_replications(p)
-    _add_common(p, "bias_mse.csv")
-    p.set_defaults(func=_run_bias_mse)
+    p.add_argument("--m-grid", type=_list_of(_integer), default=[10, 20, 40])
+    _add_replications(p, _run_bias_mse, "bias_mse.csv", reps=1000, penalty=1.0,
+                      theta_norm=10.0, sigma2=2.0)
 
     p = sub.add_parser("highdim-sweep", help="MSE ratio in the proportional regime")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
     p.add_argument("--kappa", type=_finite, default=0.2)
     p.add_argument("--m", type=_integer, default=10)
-    p.add_argument("--n-grid", type=_int_list, default=[250, 500])
-    p.add_argument("--reps", type=_integer, default=300)
-    p.add_argument("--penalty", type=_finite, default=1.0)
-    p.add_argument("--theta-norm", type=_finite, default=1.0)
-    _add_noise(p, sigma2=1.0)
-    _add_replications(p)
-    _add_common(p, "highdim_sweep.csv")
-    p.set_defaults(func=_run_highdim_sweep)
+    p.add_argument("--n-grid", type=_list_of(_integer), default=[250, 500])
+    _add_replications(p, _run_highdim_sweep, "highdim_sweep.csv", reps=300, penalty=1.0,
+                      theta_norm=1.0, sigma2=1.0)
 
     p = sub.add_parser("table1", help="r2/r1 grid over losses and noise families")
     p.add_argument("--delta", type=_finite, default=3.0)
@@ -362,22 +337,23 @@ def build_parser() -> _Parser:
                    help="gaussian noise variance for the smooth-loss rows")
     p.add_argument("--laplace-scale", type=_finite, default=2 ** -0.5,
                    help="laplace scale (default: unit variance)")
-    p.add_argument("--kappa-grid", type=_float_list,
+    p.add_argument("--kappa-grid", type=_list_of(_finite),
                    default=list(np.geomspace(1e-3, 8e-3, 5)),
                    help="grid for the absolute-loss series fit")
     p.add_argument("--quad-nodes", type=_integer, default=64)
-    _add_common(p, "table1.csv")
-    p.set_defaults(func=_run_table1)
+    _add_common(p, _run_table1, "table1.csv")
 
     p = sub.add_parser("plan", help="choose the machine count")
     p.add_argument("--mode", choices=("fixed-n", "fixed-N"), required=True)
-    p.add_argument("--n", type=_integer, default=None)
-    p.add_argument("--N", type=_integer, default=None)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--n", type=_integer, default=None)
+    size.add_argument("--N", type=_integer, default=None)
     p.add_argument("--constraint", choices=("absolute", "relative"),
                    default="absolute")
-    p.add_argument("--total-eps", type=_finite, default=None)
-    p.add_argument("--per-coord-eps", type=_finite, default=None)
-    p.add_argument("--rel-eps", type=_finite, default=None)
+    bound = p.add_mutually_exclusive_group()
+    bound.add_argument("--total-eps", type=_finite, default=None)
+    bound.add_argument("--per-coord-eps", type=_finite, default=None)
+    bound.add_argument("--rel-eps", type=_finite, default=None)
     p.add_argument("--regime", choices=("fixed-p", "high-dim"), default="fixed-p")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
     p.add_argument("--p", type=_integer, required=True)
@@ -387,15 +363,13 @@ def build_parser() -> _Parser:
                    default="squared")
     p.add_argument("--delta", type=_finite, default=3.0)
     _add_noise(p, sigma2=1.0)
-    _add_common(p, "plan.csv")
-    p.set_defaults(func=_run_plan)
+    _add_common(p, _run_plan, "plan.csv")
 
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
     p.add_argument("--reps", type=_integer, default=1_000_000)
-    p.add_argument("--p-grid", type=_int_list, default=[1, 2, 5])
-    p.add_argument("--seed", type=_seed, default=0)
-    _add_common(p, "wishart_check.csv")
-    p.set_defaults(func=_run_wishart_check)
+    p.add_argument("--p-grid", type=_list_of(_at_least(1)), default=[1, 2, 5])
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    _add_common(p, _run_wishart_check, "wishart_check.csv")
 
     return parser
 
@@ -438,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (UsageError, ConfigError, InfeasiblePlanError) as exc:
+    except (UsageError, ConfigError, InfeasiblePlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericalError, SplitAvgError) as exc:

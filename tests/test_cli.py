@@ -164,6 +164,28 @@ def test_unread_options_are_not_accepted(tmp_path, capsys, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--regime", "high-dim", "--model", "ridge", "--penalty", "3"], "--model ridge"),
+    (["--regime", "fixed-p", "--loss", "absolute"], "--loss absolute"),
+    (["--N", "7"], "argument --N: not allowed with argument --n"),
+    (["--constraint", "relative", "--rel-eps", "0.1"], "not allowed with"),
+], ids=["high-dim-model", "fixed-p-loss", "n-and-N", "two-bounds"])
+def test_plan_rejects_options_it_would_not_read(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "100", "--sigma2", "10",
+                 "--total-eps", "5", *argv, "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["table1", "--quad-nodes", "16", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 _PLAN_N = ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "100", "--sigma2", "10"]
 
 
@@ -251,7 +273,7 @@ def test_plan_fixed_p_uses_laplace_variance(tmp_path):
     assert float(row_lap[3]) == pytest.approx(float(row_gauss[3]), rel=1e-12)
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
 def test_bad_thread_env_exits_one(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("SPLITAVG_THREADS", value)
     out = tmp_path / "o.csv"
@@ -259,6 +281,13 @@ def test_bad_thread_env_exits_one(tmp_path, monkeypatch, capsys, value):
                  "--reps", "2", "--out", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["2.0", "2e0"])
+def test_thread_env_takes_the_flag_syntax(monkeypatch, value):
+    # SPLITAVG_THREADS is the default of --threads and parses the same way
+    monkeypatch.setenv("SPLITAVG_THREADS", value)
+    assert build_parser().parse_args(["ratio-sweep"]).threads == 2
 
 
 def test_bad_thread_flag_exits_one(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""Static checks that stand in for a linter: tracer targets resolve, no unused imports."""
+"""Static checks that stand in for a linter: tracer targets resolve, no unused imports,
+documented command lines parse."""
 
 import ast
 import importlib
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,29 @@ def test_module_uses_every_name_it_imports(path):
     traced = {attr for mod, attr, _ in _tracing().WRAPPED if mod is module}
     unused = set(_imported_names(tree)) - used - traced
     assert not unused, f"{path} imports {sorted(unused)} and never uses them"
+
+
+def _cli_argvs(text):
+    """Arguments of each ``splitavg.cli`` command line in a bash text."""
+    for line in text.replace("\\\n", " ").splitlines():
+        if "splitavg.cli" in line:
+            line = re.sub(r"\$\{?model\}?", "ols", line).replace("$OUT", "grids_out")
+            words = shlex.split(line, comments=True)
+            yield words[words.index("splitavg.cli") + 1:]
+
+
+def test_documented_command_lines_parse():
+    # parsed, not run: a CLI refactor must keep every flag the grids and README use
+    from splitavg.cli import UsageError, build_parser
+
+    script = (ROOT / "scripts" / "run_reference_grids.sh").read_text()
+    readme = "".join(re.findall(r"```bash\n(.*?)```", (ROOT / "README.md").read_text(),
+                                flags=re.S))
+    for text in (script, readme):
+        argvs = list(_cli_argvs(text))
+        assert argvs
+        for argv in argvs:
+            try:
+                build_parser().parse_args(argv)
+            except UsageError as exc:
+                pytest.fail(f"{shlex.join(argv)}: {exc}")
