@@ -46,6 +46,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Parser of every (sub)command: usage errors raise, and a flag is given
+    in full (an abbreviation such as --conf is unrecognized, not --config)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -226,6 +232,15 @@ def _run_plan(args) -> int:
     if eps is None:
         need = "--rel-eps" if relative else "--total-eps or --per-coord-eps"
         raise UsageError(f"{args.constraint} constraint needs {need}")
+    # an option this plan does not read is an error, not a header entry
+    ridge, huber = args.model == "ridge", args.loss == "pseudo-huber"
+    for key, default, read in (("penalty", 0.0, ridge), ("theta_norm", 1.0, ridge),
+                               ("delta", 3.0, huber)):
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+        elif not read:
+            raise UsageError(f"this plan does not read --{key.replace('_', '-')} "
+                             f"(--model {args.model}, --loss {args.loss})")
     if args.regime == "fixed-p":
         if args.loss != "squared":
             raise UsageError(f"the fixed-p regime plans squared loss, not --loss {args.loss}")
@@ -357,11 +372,12 @@ def build_parser() -> _Parser:
     p.add_argument("--regime", choices=("fixed-p", "high-dim"), default="fixed-p")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
     p.add_argument("--p", type=_integer, required=True)
-    p.add_argument("--penalty", type=_finite, default=0.0)
-    p.add_argument("--theta-norm", type=_finite, default=1.0)
+    # None marks an option not given; _run_plan rejects it where it is not read
+    p.add_argument("--penalty", type=_finite, default=None, help="default 0")
+    p.add_argument("--theta-norm", type=_finite, default=None, help="default 1")
     p.add_argument("--loss", choices=("squared", "pseudo-huber", "absolute"),
                    default="squared")
-    p.add_argument("--delta", type=_finite, default=3.0)
+    p.add_argument("--delta", type=_finite, default=None, help="default 3")
     _add_noise(p, sigma2=1.0)
     _add_common(p, _run_plan, "plan.csv")
 
@@ -376,12 +392,16 @@ def build_parser() -> _Parser:
 
 def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value pairs from --config as flags; explicit flags win."""
-    if "--config" not in argv:
+    flags = [tok.split("=", 1)[0] for tok in argv]
+    if "--config" not in flags:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    idx = flags.index("--config")
+    if "=" in argv[idx]:  # --config=path
+        path = argv[idx].split("=", 1)[1]
+    elif idx + 1 >= len(argv):
         raise UsageError("--config needs a path")
-    path = argv[idx + 1]
+    else:
+        path = argv[idx + 1]
     try:
         with open(path) as fh:
             lines = fh.readlines()

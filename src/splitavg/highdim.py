@@ -85,9 +85,11 @@ def _eta_axis(nodes: int):
     return _SQRT2 * x, w / _SQRTPI
 
 
-def _compound_grid(noise: NoiseDist, q: QuadratureSpec, r: float):
-    """Nodes of eps + r * eta and the weighted mean over them; one axis when r = 0."""
+def _compound_grid(noise: NoiseDist, q: QuadratureSpec, r: float, rows=None):
+    """Nodes of eps + r * eta over the first ``rows`` noise nodes (default: all) and
+    the weighted mean over the whole grid; one axis when r = 0."""
     te, we = _eps_axis(noise, q)
+    te = te[:rows]
     if r == 0.0:
         return te, lambda a: float(we @ a)
     th, wh = _eta_axis(q.nodes)
@@ -282,12 +284,24 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
     E[h'(z) eta] / (2 sqrt(rho)); at rho = 0 (one axis) it is Stein's lemma,
     E[h''(eps)] / 2.
     """
-    we = _eps_axis(noise, q)[1]
+    te, we = _eps_axis(noise, q)
     th, wh = _eta_axis(q.nodes)
     wh_eta = wh * th
+    # Under an even loss the mirrored noise axis holds -z beside every node z
+    # (row -t is row t negated and eta-reversed, as th == -th[::-1]); prox,
+    # f' and f''' are odd in z and D, f'', f'''' even, bit for bit.  So the
+    # prox runs on the t >= 0 rows and each integrand is unfolded by parity.
+    fold = loss.is_even and te.size > 1
+
+    def unfold(h, odd=False):
+        if not fold:
+            return h
+        mirror = h[:, ::-1] if h.ndim == 2 else h
+        return np.concatenate([h, -mirror if odd else mirror])
 
     def residuals(c, rho, kappa):
-        z, mean = _compound_grid(noise, q, math.sqrt(rho))
+        z, mean_all = _compound_grid(noise, q, math.sqrt(rho), te.size // 2 if fold else None)
+        mean = lambda h: mean_all(unfold(h))
         prox, dprox = prox_array(loss, c, z)
         gap = z - prox
         del z  # the node arrays are large; keep few of them alive at once
@@ -298,10 +312,10 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
         d_c = (-mean(dprox * dprox * derivative_array(loss, prox, 2)) - mean(f1 * d_dprox_dz),
                2.0 * mean(gap * f1 * dprox))
         del f1
-        if rho > 0:
+        if rho > 0:  # both integrands are odd, as are the eta weights
             half = 0.5 / math.sqrt(rho)
-            d_rho = (half * float(we @ d_dprox_dz @ wh_eta),
-                     half * float(we @ (2.0 * gap * (1.0 - dprox)) @ wh_eta))
+            d_rho = (half * float(we @ unfold(d_dprox_dz, odd=True) @ wh_eta),
+                     half * float(we @ unfold(2.0 * gap * (1.0 - dprox), odd=True) @ wh_eta))
         else:
             d_rho = (mean(1.5 * d_dprox_dz ** 2 / dprox
                           - 0.5 * c * derivative_array(loss, prox, 4) * dprox ** 4),

@@ -47,6 +47,11 @@ class LossSpec:
     def is_smooth(self) -> bool:
         return self.kind != "absolute"
 
+    @property
+    def is_even(self) -> bool:
+        """f(-t) == f(t): every loss here but the logistic."""
+        return self.kind != "logistic"
+
     @staticmethod
     def squared() -> "LossSpec":
         return LossSpec("squared")

@@ -179,6 +179,51 @@ def test_plan_rejects_options_it_would_not_read(tmp_path, capsys, argv, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--penalty", "3"], "--penalty"),
+    (["--theta-norm", "2"], "--theta-norm"),
+    (["--delta", "2"], "--delta"),
+    (["--regime", "high-dim", "--penalty", "0"], "--penalty"),
+    (["--regime", "high-dim", "--loss", "absolute", "--delta", "3"], "--delta"),
+], ids=["ols-penalty", "ols-theta-norm", "squared-delta", "high-dim-penalty",
+        "absolute-delta"])
+def test_plan_rejects_settings_it_does_not_read(tmp_path, capsys, argv, flag):
+    # a setting the plan would ignore is an error, not a header entry
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "100", "--sigma2", "10",
+                 "--total-eps", "2e-3", *argv, "--out", str(out)])
+    assert code == 1
+    assert f"does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_header_names_the_settings_it_reads(tmp_path):
+    out = tmp_path / "x.csv"
+    base = ["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "100", "--sigma2", "10",
+            "--total-eps", "2e-3", "--out", str(out)]
+    assert main(base) == 0
+    assert "model=ols p=100 penalty=0 theta_norm=1 loss=squared delta=3" in read_csv(out)[0]
+    assert main([*base, "--model", "ridge", "--penalty", "3", "--theta-norm", "2"]) == 0
+    assert "model=ridge p=100 penalty=3 theta_norm=2 loss=squared delta=3" in read_csv(out)[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["plan", "--mode", "fixed-n", "--n", "1e4", "--sigma2", "10", "--total-eps", "2e-3"],
+    ["ratio-sweep", "--m", "2", "--n-grid", "50", "--reps", "4"],
+], ids=lambda argv: argv[0])
+def test_config_file_forms(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("p = 4\n")
+    out = tmp_path / "x.csv"
+    assert main([*command, f"--config={cfg}", "--out", str(out)]) == 0
+    assert " p=4 " in read_csv(out)[0]
+    out.unlink()
+    # flags are given in full: an abbreviation is not taken for --config
+    assert main([*command, "--conf", str(cfg), "--out", str(out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_one(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     assert main(["table1", "--quad-nodes", "16", "--out", str(out)]) == 1

@@ -17,8 +17,10 @@ from splitavg import (
     perturb_coeffs,
     solve_rc,
 )
+from splitavg.losses import derivative_array, prox_array
 from splitavg.highdim import (
     _absolute_residual_fn,
+    _compound_grid,
     _eps_axis,
     _expect_xi_adaptive,
     _smooth_residual_fn,
@@ -401,3 +403,145 @@ def test_absolute_residuals_match_frozen_gaussian_closed_form(key):
     f, jac = _absolute_residual_fn(NoiseDist.gaussian(s2), QuadratureSpec())(c, rho, kappa)
     got = np.concatenate([f, jac.ravel()])
     np.testing.assert_allclose(got, FROZEN_GAUSSIAN_ABSOLUTE_RESIDUALS[key], rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("nodes", [16, 17, 64])
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(0.5),
+                                  LossSpec.pseudo_huber(3.0)], ids=str)
+def test_even_loss_keeps_its_parity_on_the_compound_grid(loss, nodes):
+    # the premise of the folded smooth solve, bit for bit: each grid holds -z
+    # beside every node z (the second half is the first negated, with eta
+    # reversed on the 2-D grid), the prox is odd with an even derivative, and
+    # the loss derivatives of odd order are odd and of even order even
+    for noise in (GAUSS1, _LAP):
+        for r in (0.0, 0.7):
+            z, _ = _compound_grid(noise, QuadratureSpec(nodes), r)
+            rows = z.shape[0] // 2
+            assert np.array_equal(z[rows:], -(z[:rows, ::-1] if r else z[:rows]))
+            for c in (0.05, 1.3):
+                prox, dprox = prox_array(loss, c, z)
+                prox_neg, dprox_neg = prox_array(loss, c, -z)
+                assert np.array_equal(prox_neg, -prox)
+                assert np.array_equal(dprox_neg, dprox)
+            for k in (1, 2, 3, 4):
+                assert np.array_equal(derivative_array(loss, -z, k),
+                                      (-1) ** k * derivative_array(loss, z, k))
+
+
+def test_even_loss_solve_runs_the_prox_on_half_the_grid(monkeypatch):
+    import splitavg.highdim as hd
+
+    sizes = []
+    real = hd.prox_array
+    monkeypatch.setattr(hd, "prox_array",
+                        lambda loss, c, z: sizes.append(z.size) or real(loss, c, z))
+    q = QuadratureSpec(16)
+    nodes = _compound_grid(GAUSS1, q, 1.0)[0].size
+    solve_rc(LossSpec.pseudo_huber(3.0), GAUSS1, 0.2, q)
+    assert sizes and set(sizes) == {nodes // 2}
+    sizes.clear()
+    solve_rc(LossSpec.logistic(), GAUSS1, 0.2, q)  # not even: the full grid
+    assert sizes and set(sizes) == {nodes}
+
+
+# (loss, noise, Gauss-Hermite nodes): float.hex of solve_rc(loss, noise, 0.2, q)'s
+# (c, r, residuals), then _smooth_residual_fn(loss, noise, q)(0.3, rho, 0.2)'s
+# (f, J row by row) at rho = 0.25 and rho = 0; pseudo_huber is delta = 3.
+# Bitwise: a change of summation order or of the prox moves the last digit.
+FROZEN_SMOOTH_SOLVER_HEX = {
+    ('squared', 'gauss1', 16): (
+        '0x1.0000000000001p-2', '0x1.0000000000000p-1', '-0x1.0000000000000p-52', '-0x1.0000000000000p-56',
+        '-0x1.f81f81f81f840p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.5d914db87485cp-2', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
+        '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
+    ),
+    ('squared', 'gauss1', 64): (
+        '0x1.0000000000001p-2', '0x1.0000000000000p-1', '-0x1.0000000000000p-51', '-0x1.8000000000000p-56',
+        '-0x1.f81f81f81f860p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51ap-1', '0x0.0p+0',
+        '0x1.5d914db87485ap-2', '-0x1.2c88eff1753ecp-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
+        '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
+    ),
+    ('squared', 'laplace', 16): (
+        '0x1.0000000000001p-2', '0x1.ffffffffffff2p-2', '-0x1.0000000000000p-52', '-0x1.0000000000000p-56',
+        '-0x1.f81f81f81f860p-6', '0x1.0f736d5e3856cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.5d914db87484ep-2', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f840p-6', '0x1.b442a6a0916a0p-5',
+        '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d36cp-2', '-0x1.2c88eff1753ebp-3',
+    ),
+    ('squared', 'laplace', 64): (
+        '0x1.0000000000001p-2', '0x1.ffffffffffff2p-2', '-0x1.0000000000000p-51', '-0x1.0000000000000p-55',
+        '-0x1.f81f81f81f880p-6', '0x1.0f736d5e38564p-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.5d914db87484ap-2', '-0x1.2c88eff1753ecp-3', '-0x1.f81f81f81f840p-6', '0x1.b442a6a0916a0p-5',
+        '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d36cp-2', '-0x1.2c88eff1753ebp-3',
+    ),
+    ('pseudo_huber', 'gauss1', 16): (
+        '0x1.1e3a640b36a61p-2', '0x1.00ab61fdfc8dcp-1', '0x0.0p+0', '0x1.0000000000000p-56',
+        '-0x1.89a8955e7e600p-7', '0x1.a3dde8c4e2020p-8', '-0x1.2809153e0c3c4p-1', '0x1.a62704853df6dp-7',
+        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c0590p-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
+        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e12dp-7', '0x1.00c64b69096fap-2', '-0x1.46030034e88b0p-3',
+    ),
+    ('pseudo_huber', 'gauss1', 64): (
+        '0x1.1e3a640b36a5dp-2', '0x1.00ab61fdfc8dap-1', '0x0.0p+0', '0x0.0p+0',
+        '-0x1.89a8955e7e680p-7', '0x1.a3dde8c4e2070p-8', '-0x1.2809153e0c3c1p-1', '0x1.a62704853df7ep-7',
+        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c059fp-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
+        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e12dp-7', '0x1.00c64b69096fap-2', '-0x1.46030034e88b0p-3',
+    ),
+    ('pseudo_huber', 'laplace', 16): (
+        '0x1.1b9ad8a4bda65p-2', '0x1.e84a18965591ep-2', '0x1.0668000000000p-40', '-0x1.c805400000000p-36',
+        '-0x1.b0d0986823680p-7', '0x1.7575ec8a2be60p-9', '-0x1.27947896a401cp-1', '0x1.b4a5efacff8fcp-7',
+        '0x1.29f78f7c607f7p-2', '-0x1.47a520c7dc292p-3', '-0x1.109c50db76a60p-6', '0x1.5c75976d1848ap-5',
+        '-0x1.2922738accb33p-1', '0x1.cf06623951d73p-7', '0x1.debb8d4eed042p-3', '-0x1.427c33be539dap-3',
+    ),
+    ('pseudo_huber', 'laplace', 64): (
+        '0x1.1b9ad8a4bda64p-2', '0x1.e84a189655909p-2', '0x1.0670000000000p-40', '-0x1.c805300000000p-36',
+        '-0x1.b0d0986823740p-7', '0x1.7575ec8a2bc30p-9', '-0x1.27947896a401bp-1', '0x1.b4a5efacff8f8p-7',
+        '0x1.29f78f7c607eep-2', '-0x1.47a520c7dc294p-3', '-0x1.109c50db76a60p-6', '0x1.5c75976d1848ap-5',
+        '-0x1.2922738accb33p-1', '0x1.cf06623951d73p-7', '0x1.debb8d4eed042p-3', '-0x1.427c33be539dap-3',
+    ),
+    ('logistic', 'gauss1', 16): (
+        '0x1.7da5cbc8b919ep+0', '0x1.93aa2c054cbf1p+0', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
+        '0x1.2476f79051e78p-3', '-0x1.a76462bdab370p-6', '-0x1.74318641cacf9p-3', '0x1.d2ebe08f07746p-8',
+        '0x1.373c88fe0fe68p-3', '-0x1.941f6ca40ebbep-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
+        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e43309ap-7', '0x1.2d6647530d4a9p-3', '-0x1.937a770508421p-3',
+    ),
+    ('logistic', 'gauss1', 64): (
+        '0x1.7da5cbdda38c7p+0', '0x1.93aa2c19a4c35p+0', '0x1.0000000000000p-53', '0x1.8000000000000p-53',
+        '0x1.2476f79051e70p-3', '-0x1.a76462bdab342p-6', '-0x1.74318641cacf3p-3', '0x1.d2ebe08f0773cp-8',
+        '0x1.373c88fe0fe77p-3', '-0x1.941f6ca40ebbcp-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
+        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e43309ap-7', '0x1.2d6647530d4a9p-3', '-0x1.937a770508421p-3',
+    ),
+    ('logistic', 'laplace', 16): (
+        '0x1.79d5f9fcc457fp+0', '0x1.8e35d2ec6afbep+0', '-0x1.0000000000000p-52', '0x0.0p+0',
+        '0x1.221d8edbc4ba4p-3', '-0x1.aeb12f9448a08p-6', '-0x1.79c6c4de3fb81p-3', '0x1.03e71dec8cf6cp-7',
+        '0x1.314dbc2d85efap-3', '-0x1.9372c9eb3e3c1p-3', '0x1.1dcac610ad9a0p-3', '0x1.775bdaac6ee78p-6',
+        '-0x1.853d1a4d410bfp-3', '0x1.26e39f54ce80fp-7', '0x1.264ace74eda02p-3', '-0x1.92904df4a785cp-3',
+    ),
+    ('logistic', 'laplace', 64): (
+        '0x1.79d5fa64bf059p+0', '0x1.8e35d3acccdd2p+0', '0x0.0p+0', '-0x1.0000000000000p-53',
+        '0x1.221d8edbc4b98p-3', '-0x1.aeb12f9448a7ep-6', '-0x1.79c6c4de3fb82p-3', '0x1.03e71dec8cf39p-7',
+        '0x1.314dbc2d85ecep-3', '-0x1.9372c9eb3e3bap-3', '0x1.1dcac610ad9a0p-3', '0x1.775bdaac6ee78p-6',
+        '-0x1.853d1a4d410bfp-3', '0x1.26e39f54ce80fp-7', '0x1.264ace74eda02p-3', '-0x1.92904df4a785cp-3',
+    ),
+    ('squared', 'noiseless', 16): (
+        '0x1.0000000000000p-2', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0',
+        '-0x1.f81f81f81f840p-6', '-0x1.2c88eff1753eap-5', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.17a771605d37fp-4', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f840p-6', '0x0.0p+0',
+        '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x0.0p+0', '-0x1.2c88eff1753ebp-3',
+    ),
+}
+
+
+_PIN_LOSSES = {"squared": LossSpec.squared(), "pseudo_huber": LossSpec.pseudo_huber(3.0),
+               "logistic": LossSpec.logistic()}
+_PIN_NOISES = {"gauss1": GAUSS1, "laplace": _LAP, "noiseless": NoiseDist.gaussian(0.0)}
+
+
+@pytest.mark.parametrize("key", list(FROZEN_SMOOTH_SOLVER_HEX), ids=str)
+def test_smooth_solver_is_bitwise_frozen(key):
+    loss, noise, q = _PIN_LOSSES[key[0]], _PIN_NOISES[key[1]], QuadratureSpec(key[2])
+    sol = solve_rc(loss, noise, 0.2, q)
+    got = [sol.c, sol.r, *sol.residuals]
+    fn = _smooth_residual_fn(loss, noise, q)
+    for rho in (0.25, 0.0):
+        f, jac = fn(0.3, rho, 0.2)
+        got += [*f, *jac.ravel()]
+    assert [float(v).hex() for v in got] == list(FROZEN_SMOOTH_SOLVER_HEX[key])
