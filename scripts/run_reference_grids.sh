@@ -15,7 +15,7 @@ for model in ols ridge nls; do
     --out "$OUT/ratio_${model}.csv"
 done
 "${PYTHON:-python3}" -m splitavg.cli ratio-sweep --model logistic --p 10 --m 10 \
-  --n-grid 100,200,1000 --reps 200 --seed 7 --sigma2 10 \
+  --n-grid 100,200,1000 --reps 200 --seed 7 \
   --out "$OUT/ratio_logistic.csv"
 
 # bias and MSE against the second-order expansion along m (N fixed)

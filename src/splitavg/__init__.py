@@ -37,7 +37,6 @@ from .highdim import (
     QuadratureSpec,
     RcSolution,
     absolute_series,
-    expect_noise,
     expect_xi,
     mse_ratio_exact,
     mse_ratio_first_order,

@@ -89,24 +89,17 @@ def _finite(text: str) -> float:
     return value
 
 
-def _integer(text: str) -> int:
-    """Argument type for integers, also in float notation (1e6); fractions are usage errors."""
-    try:
-        return int(text)  # exact beyond 2^53, where float notation rounds
-    except ValueError:
-        value = _finite(text)
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(value)
-
-
 def _at_least(low: int):
-    """Argument type for integers >= low (seeds: 0, what numpy's default_rng takes)."""
+    """Argument type for integers >= low (counts: 1, seeds: 0, what numpy's default_rng
+    takes), also in float notation (1e6); fractions are usage errors."""
     def parse(text: str) -> int:
-        value = _integer(text)
-        if value < low:
+        try:
+            value = int(text)  # exact beyond 2^53, where float notation rounds
+        except ValueError:
+            value = _finite(text)
+        if value < low or value != int(value):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
+        return int(value)
     return parse
 
 
@@ -224,15 +217,22 @@ def _run_table1(args) -> int:
 
 
 def _run_plan(args) -> int:
-    # the three bounds are mutually exclusive, so at most one is set
+    # One pass after parsing (so an unknown flag is reported first): every setting
+    # this plan needs is given, and none that it would not read.
     relative = args.constraint == "relative"
-    eps = args.rel_eps if relative else args.total_eps
-    if not relative and args.per_coord_eps is not None:
-        eps = args.per_coord_eps * args.p
-    if eps is None:
-        need = "--rel-eps" if relative else "--total-eps or --per-coord-eps"
-        raise UsageError(f"{args.constraint} constraint needs {need}")
-    # an option this plan does not read is an error, not a header entry
+    size = args.n if args.mode == "fixed-n" else args.N
+    # the three bounds are mutually exclusive, so at most one is set
+    bound = args.rel_eps if relative else (
+        args.total_eps if args.per_coord_eps is None else args.per_coord_eps)
+    needs = [("--mode", args.mode)]
+    if args.mode is not None:
+        needs.append((f"--{'n' if args.mode == 'fixed-n' else 'N'} (mode {args.mode})", size))
+    needs += [("--p", args.p),
+              (f"{'--rel-eps' if relative else '--total-eps or --per-coord-eps'} "
+               f"({args.constraint} constraint)", bound)]
+    missing = [flag for flag, value in needs if value is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     ridge, huber = args.model == "ridge", args.loss == "pseudo-huber"
     for key, default, read in (("penalty", 0.0, ridge), ("theta_norm", 1.0, ridge),
                                ("delta", 3.0, huber)):
@@ -252,13 +252,9 @@ def _run_plan(args) -> int:
                 "pseudo-huber": LossSpec.pseudo_huber(args.delta),
                 "absolute": LossSpec.absolute()}[args.loss]
         regime = HighDimRegime(loss=loss, noise=_noise(args), p=args.p)
-    mode = "fixed_n" if args.mode == "fixed-n" else "fixed_N"
-    size = args.n if mode == "fixed_n" else args.N
-    if size is None:
-        raise UsageError(f"--{'n' if mode == 'fixed_n' else 'N'} is required "
-                         f"for mode {args.mode}")
-    prob = PlannerProblem(mode=mode, size=size, constraint=args.constraint,
-                          eps=eps, regime=regime)
+    eps = bound if args.per_coord_eps is None else bound * args.p
+    prob = PlannerProblem(mode=args.mode.replace("-", "_"), size=size,
+                          constraint=args.constraint, eps=eps, regime=regime)
     result = choose_m(prob)
     _write_csv(args, ["mode", "constraint", "m", "achieved_error"],
                [(args.mode, args.constraint, result.m, result.achieved_error)])
@@ -305,7 +301,7 @@ def _add_replications(p: argparse.ArgumentParser, run, out: str, *, reps: int,
                       penalty: float, theta_norm: float, sigma2: float) -> None:
     """Options after the grid of the subcommands that run seeded replications,
     in header order: the '#' line follows the order of ``vars(args)``."""
-    p.add_argument("--reps", type=_integer, default=reps)
+    p.add_argument("--reps", type=_at_least(1), default=reps)
     p.add_argument("--penalty", type=_finite, default=penalty)
     p.add_argument("--theta-norm", type=_finite, default=theta_norm)
     _add_noise(p, sigma2)
@@ -324,25 +320,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ratio-sweep", help="error-ratio sweep along n")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
-    p.add_argument("--p", type=_integer, default=10)
-    p.add_argument("--m", type=_integer, default=10)
-    p.add_argument("--n-grid", type=_list_of(_integer), default=[50, 200, 1000])
+    p.add_argument("--p", type=_at_least(1), default=10)
+    p.add_argument("--m", type=_at_least(1), default=10)
+    p.add_argument("--n-grid", type=_list_of(_at_least(1)), default=[50, 200, 1000])
     _add_replications(p, _run_ratio_sweep, "ratio_sweep.csv", reps=200, penalty=0.1,
                       theta_norm=1.0, sigma2=10.0)
 
     p = sub.add_parser("bias-mse", help="bias and MSE vs theory along m")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
-    p.add_argument("--p", type=_integer, default=20)
-    p.add_argument("--N", type=_integer, default=20000)
-    p.add_argument("--m-grid", type=_list_of(_integer), default=[10, 20, 40])
+    p.add_argument("--p", type=_at_least(1), default=20)
+    p.add_argument("--N", type=_at_least(1), default=20000)
+    p.add_argument("--m-grid", type=_list_of(_at_least(1)), default=[10, 20, 40])
     _add_replications(p, _run_bias_mse, "bias_mse.csv", reps=1000, penalty=1.0,
                       theta_norm=10.0, sigma2=2.0)
 
     p = sub.add_parser("highdim-sweep", help="MSE ratio in the proportional regime")
     p.add_argument("--model", choices=_MODEL_CHOICES, default="ols")
     p.add_argument("--kappa", type=_finite, default=0.2)
-    p.add_argument("--m", type=_integer, default=10)
-    p.add_argument("--n-grid", type=_list_of(_integer), default=[250, 500])
+    p.add_argument("--m", type=_at_least(1), default=10)
+    p.add_argument("--n-grid", type=_list_of(_at_least(1)), default=[250, 500])
     _add_replications(p, _run_highdim_sweep, "highdim_sweep.csv", reps=300, penalty=1.0,
                       theta_norm=1.0, sigma2=1.0)
 
@@ -355,14 +351,15 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa-grid", type=_list_of(_finite),
                    default=list(np.geomspace(1e-3, 8e-3, 5)),
                    help="grid for the absolute-loss series fit")
-    p.add_argument("--quad-nodes", type=_integer, default=64)
+    p.add_argument("--quad-nodes", type=_at_least(1), default=64)
     _add_common(p, _run_table1, "table1.csv")
 
     p = sub.add_parser("plan", help="choose the machine count")
-    p.add_argument("--mode", choices=("fixed-n", "fixed-N"), required=True)
+    # None marks an option not given; _run_plan checks what it needs and reads
+    p.add_argument("--mode", choices=("fixed-n", "fixed-N"))
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--n", type=_integer, default=None)
-    size.add_argument("--N", type=_integer, default=None)
+    size.add_argument("--n", type=_at_least(1), default=None)
+    size.add_argument("--N", type=_at_least(1), default=None)
     p.add_argument("--constraint", choices=("absolute", "relative"),
                    default="absolute")
     bound = p.add_mutually_exclusive_group()
@@ -371,8 +368,7 @@ def build_parser() -> _Parser:
     bound.add_argument("--rel-eps", type=_finite, default=None)
     p.add_argument("--regime", choices=("fixed-p", "high-dim"), default="fixed-p")
     p.add_argument("--model", choices=("ols", "ridge"), default="ols")
-    p.add_argument("--p", type=_integer, required=True)
-    # None marks an option not given; _run_plan rejects it where it is not read
+    p.add_argument("--p", type=_at_least(1))
     p.add_argument("--penalty", type=_finite, default=None, help="default 0")
     p.add_argument("--theta-norm", type=_finite, default=None, help="default 1")
     p.add_argument("--loss", choices=("squared", "pseudo-huber", "absolute"),
@@ -382,7 +378,7 @@ def build_parser() -> _Parser:
     _add_common(p, _run_plan, "plan.csv")
 
     p = sub.add_parser("wishart-check", help="Monte-Carlo identity z-tests")
-    p.add_argument("--reps", type=_integer, default=1_000_000)
+    p.add_argument("--reps", type=_at_least(1), default=1_000_000)
     p.add_argument("--p-grid", type=_list_of(_at_least(1)), default=[1, 2, 5])
     p.add_argument("--seed", type=_at_least(0), default=0)
     _add_common(p, _run_wishart_check, "wishart_check.csv")
@@ -391,17 +387,13 @@ def build_parser() -> _Parser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value pairs from --config as flags; explicit flags win."""
-    flags = [tok.split("=", 1)[0] for tok in argv]
-    if "--config" not in flags:
+    """Insert key=value pairs from --config as flags after the subcommand; explicit
+    flags come later and win.  argparse finds --config, by the rules of every flag."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    idx = flags.index("--config")
-    if "=" in argv[idx]:  # --config=path
-        path = argv[idx].split("=", 1)[1]
-    elif idx + 1 >= len(argv):
-        raise UsageError("--config needs a path")
-    else:
-        path = argv[idx + 1]
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -424,9 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        if argv and not argv[0].startswith("-"):
-            argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -96,11 +96,6 @@ def _compound_grid(noise: NoiseDist, q: QuadratureSpec, r: float, rows=None):
     return te[:, None] + r * th[None, :], lambda a: float(we @ a @ wh)
 
 
-def expect_noise(g, noise: NoiseDist, q: QuadratureSpec | None = None) -> float:
-    """E[g(eps)] over the raw noise by single-axis quadrature."""
-    return expect_xi(g, noise, 0.0, q)
-
-
 def expect_xi(g, noise: NoiseDist, r: float, q: QuadratureSpec | None = None) -> float:
     """E[g(eps + r * eta)] with eta standard normal independent of eps.
 
@@ -304,14 +299,12 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
         mean = lambda h: mean_all(unfold(h))
         prox, dprox = prox_array(loss, c, z)
         gap = z - prox
-        del z  # the node arrays are large; keep few of them alive at once
         f = np.array([mean(dprox) - (1.0 - kappa), mean(gap * gap) - kappa * rho])
         f1 = derivative_array(loss, prox, 1)
         d_dprox_dz = -c * derivative_array(loss, prox, 3) * dprox ** 3
         # d/dc of D and of gap^2 = (z - x)^2, through dx/dc = -f' D
         d_c = (-mean(dprox * dprox * derivative_array(loss, prox, 2)) - mean(f1 * d_dprox_dz),
                2.0 * mean(gap * f1 * dprox))
-        del f1
         if rho > 0:  # both integrands are odd, as are the eta weights
             half = 0.5 / math.sqrt(rho)
             d_rho = (half * float(we @ unfold(d_dprox_dz, odd=True) @ wh_eta),

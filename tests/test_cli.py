@@ -426,3 +426,79 @@ def test_integer_arguments_take_float_notation():
     assert parse(["wishart-check", "--seed", "1e1"]).seed == 10
     # plain integers stay exact past 2^53, where float notation would round
     assert parse(["wishart-check", "--seed", str(2 ** 64 + 1)]).seed == 2 ** 64 + 1
+
+
+_PLAN_FIXED_N = ["plan", "--mode", "fixed-n", "--n", "1e4", "--sigma2", "10", "--total-eps", "2e-3"]
+
+
+def test_unknown_flag_is_reported_before_plan_requirements(tmp_path, capsys):
+    # --p is missing too, but the misspelt --config is the cause to name
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("p = 4\n")
+    assert main([*_PLAN_FIXED_N, "--conf", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["plan"], "--mode, --p, --total-eps or --per-coord-eps (absolute constraint)"),
+    (["plan", "--mode", "fixed-N", "--p", "10", "--total-eps", "1"], "--N (mode fixed-N)"),
+    (["plan", "--mode", "fixed-n", "--N", "1e6", "--p", "10", "--total-eps", "1"],
+     "--n (mode fixed-n)"),
+    (["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "10", "--constraint", "relative",
+      "--total-eps", "1"], "--rel-eps (relative constraint)"),
+    (["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "10", "--rel-eps", "0.1"],
+     "--total-eps or --per-coord-eps (absolute constraint)"),
+], ids=["all", "N", "n", "rel-eps", "total-eps"])
+def test_plan_names_every_missing_requirement(tmp_path, capsys, argv, missing):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: the following arguments are required: {missing}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ratio-sweep", "--p", "0"], "--p"),
+    (["ratio-sweep", "--m", "-1"], "--m"),
+    (["ratio-sweep", "--n-grid", "50,0"], "--n-grid"),
+    (["highdim-sweep", "--reps", "0e0"], "--reps"),
+    (["bias-mse", "--p", "-3"], "--p"),
+    (["bias-mse", "--N", "0"], "--N"),
+    (["bias-mse", "--m-grid", "-2"], "--m-grid"),
+    (["table1", "--quad-nodes", "0"], "--quad-nodes"),
+    (["plan", "--mode", "fixed-n", "--n", "0", "--p", "10", "--total-eps", "1"], "--n"),
+    (["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "-1", "--total-eps", "1"], "--p"),
+    (["wishart-check", "--reps", "0"], "--reps"),
+], ids=["ratio-sweep-p", "ratio-sweep-m", "n-grid", "reps", "bias-mse-p", "N", "m-grid",
+        "quad-nodes", "n", "plan-p", "wishart-reps"])
+def test_counts_below_one_are_usage_errors(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert f"error: argument {flag}: expected an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "p = 4\nno key value\n"], ids=["missing", "no-equals"])
+def test_unreadable_config_file_exits_one(tmp_path, capsys, content):
+    cfg = tmp_path / "c.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "x.csv"
+    assert main(["ratio-sweep", "--reps", "2", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_config_flag_without_a_path_exits_one(capsys):
+    assert main(["ratio-sweep", "--config"]) == 1
+    assert "error: argument --config: expected one argument" in capsys.readouterr().err
+
+
+def test_last_config_file_is_read(tmp_path):
+    # --config follows argparse's rule for every flag: of two, the last one holds
+    first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("p = 4\n")
+    last.write_text("p = 3\n")
+    out = tmp_path / "x.csv"
+    assert main(["ratio-sweep", "--m", "2", "--n-grid", "50", "--reps", "4", "--config",
+                 str(first), "--config", str(last), "--out", str(out)]) == 0
+    assert " p=3 " in read_csv(out)[0]

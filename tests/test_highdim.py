@@ -9,6 +9,7 @@ from splitavg import (
     LossSpec,
     NoiseDist,
     QuadratureSpec,
+    SolverFailureError,
     absolute_series,
     expect_xi,
     loss_derivative,
@@ -125,6 +126,13 @@ def test_solve_rc_validation():
         solve_rc(LossSpec.squared(), GAUSS1, 1.0)
     with pytest.raises(ConfigError):
         solve_rc(LossSpec.absolute(), NoiseDist.gaussian(0.0), 0.1)
+
+
+def test_solve_rc_without_iterations_reports_the_start_residual():
+    with pytest.raises(SolverFailureError, match="no convergence in 0 iterations") as info:
+        solve_rc(LossSpec.pseudo_huber(3.0), GAUSS1, 0.2, max_iter=0)
+    (start,) = info.value.residual_trace
+    assert np.isfinite(start) and start > 0
 
 
 def test_perturb_coeffs_squared_gaussian_exact():

@@ -14,6 +14,7 @@ from splitavg import (
     NoiseDist,
     RankError,
     ReplicationResult,
+    SplitAvgError,
     average_estimate,
     run_experiment,
     run_replication,
@@ -137,6 +138,18 @@ def test_underdetermined_central_fit_raises_rank_error():
     cfg = _cfg(p=6, N=4, m=2, reps=1)
     with pytest.raises(RankError) as info:
         run_replication(cfg, 0)
+    assert not isinstance(info.value, MachineFitError)
+
+
+def test_unconverged_central_fit_is_not_a_machine_failure():
+    # 8 logistic samples at theta0 = (4, 0): rep 1 is separable, so the central
+    # Newton fit does not converge before any shard is fitted
+    gen = GenerativeConfig(p=2, theta0=np.array([4.0, 0.0]),
+                           noise=NoiseDist.gaussian(1.0), link="logistic")
+    cfg = ExperimentConfig(gen=gen, model=ModelSpec.logistic(), N=8, m=1,
+                           replications=2, base_seed=1)
+    with pytest.raises(SplitAvgError, match="did not converge") as info:
+        run_replication(cfg, 1)
     assert not isinstance(info.value, MachineFitError)
 
 

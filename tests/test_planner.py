@@ -113,6 +113,12 @@ def test_high_dim_kappa_domain_errors():
     assert predicted_error(prob, result.m) <= 10.0
 
 
+def test_fixed_N_more_machines_than_samples_is_infeasible():
+    prob = ols_problem("fixed_N", 100, 1.0, p=10)
+    with pytest.raises(InfeasiblePlanError, match="less than one sample per machine"):
+        predicted_error(prob, 101)
+
+
 def test_high_dim_fixed_N_binding_bound():
     regime = HighDimRegime(loss=LossSpec.squared(), noise=NoiseDist.gaussian(1.0), p=10)
     prob = PlannerProblem(mode="fixed_N", size=10 ** 5, constraint="absolute",

@@ -1,9 +1,10 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports,
-documented command lines parse."""
+exported functions have callers, documented command lines parse."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -72,3 +73,28 @@ def test_documented_command_lines_parse():
                 build_parser().parse_args(argv)
             except UsageError as exc:
                 pytest.fail(f"{shlex.join(argv)}: {exc}")
+
+
+def _called_names(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_exported_function_is_called_outside_its_module():
+    # a public function that only its own module (or nobody) calls is dead API
+    import splitavg
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = {name: Path(inspect.getsourcefile(getattr(splitavg, name))).resolve()
+                 for name in exported if inspect.isfunction(getattr(splitavg, name))}
+    callers = {name: set() for name in functions}
+    for folder in ("src", "tests", "scripts", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for name in set(_called_names(path)) & set(callers):
+                callers[name].add(path.resolve())
+    uncalled = sorted(name for name, paths in callers.items() if not paths - {functions[name]})
+    assert not uncalled, f"exported but never called outside their module: {uncalled}"
