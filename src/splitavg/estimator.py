@@ -334,7 +334,11 @@ def ridge_population_target(theta0: np.ndarray, sigma, penalty: float) -> np.nda
 
 
 def population_target(gen: GenerativeConfig, model: ModelSpec) -> np.ndarray:
-    """Population minimizer of the model's risk: the ridge shrinkage point, else theta0."""
+    """Population minimizer of the model's risk on data of its own link (another link
+    raises ``ConfigError``): the ridge shrinkage point, else theta0."""
+    if gen.link != model.link:
+        raise ConfigError(f"data link {gen.link!r} does not match "
+                          f"the model's link {model.link!r}")
     if model.penalty:
         return ridge_population_target(gen.theta0, gen.sigma_spec, model.penalty)
     return gen.theta0

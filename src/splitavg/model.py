@@ -53,9 +53,12 @@ class NoiseDist:
 def _covariance(sigma_spec, p: int):
     """The one covariance rule: a spec's checked p x p matrix and its lower Cholesky factor.
 
-    A spec (None = identity, 1-d diagonal, 2-d dense) must be finite, symmetric
-    and positive definite.  The factor is None for an exact identity.
+    The dimension p must be >= 1.  A spec (None = identity, 1-d diagonal, 2-d
+    dense) must be finite, symmetric and positive definite.  The factor is None
+    for an exact identity.
     """
+    if p < 1:
+        raise ConfigError("dimension p must be >= 1")
     arr = np.eye(p) if sigma_spec is None else np.asarray(sigma_spec, dtype=float)
     if arr.ndim == 1:
         if arr.shape != (p,):
@@ -106,14 +109,12 @@ class GenerativeConfig:
     _chol: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # None: I
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ConfigError("dimension p must be >= 1")
+        sigma, chol = _covariance(self.sigma_spec, self.p)
         if self.link not in LINKS:
             raise ConfigError(f"unknown link {self.link!r}")
         theta0 = np.asarray(self.theta0, dtype=float)
         if theta0.shape != (self.p,):
             raise ConfigError(f"theta0 must have shape ({self.p},)")
-        sigma, chol = _covariance(self.sigma_spec, self.p)
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)

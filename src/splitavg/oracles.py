@@ -28,8 +28,7 @@ SECOND_KIND_IDS = (
     "E_SS22BS",
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
-_WISHART_CHUNK = 200_000  # draws per pass of wishart_check: bounds its memory
-_NEWTON_CHUNK = 5e5  # design elements per stacked Newton fit of mc_moment_fit: bounds its memory
+_CHUNK = 5e5  # elements of one draw array per pass of either oracle: bounds their memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +137,9 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     p = w.p
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
-    for done in range(0, reps, _WISHART_CHUNK):
-        c = min(_WISHART_CHUNK, reps - done)
+    chunk = max(1, int(_CHUNK / p))  # a draw is a row of p elements
+    for done in range(0, reps, chunk):
+        c = min(chunk, reps - done)
         x1 = _gaussian((c, p), w._chol, rng)
         x2 = _gaussian((c, p), w._chol, rng)
         wt, u, v = _mc_terms(w, x1, x2)
@@ -188,7 +188,7 @@ def _errors(cfg, model, n, reps, rng):
     Warns once with the count of Newton fits that did not converge.
     """
     target = population_target(cfg, model)
-    chunk = max(1, int((2e7 if model.is_closed_form else _NEWTON_CHUNK) / (n * cfg.p)))
+    chunk = max(1, int(_CHUNK / (n * cfg.p)))  # a replication is a row of n p elements
     fits, failed = [], 0
     for done in range(0, reps, chunk):
         c = min(chunk, reps - done)

@@ -46,10 +46,7 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
-        if self.gen.link != self.model.link:
-            # theta_star is the fitted model's target only under its own link
-            raise ConfigError(f"data link {self.gen.link!r} does not match "
-                              f"the model's link {self.model.link!r}")
+        population_target(self.gen, self.model)  # rejects a model fit to another link
 
     @property
     def n(self) -> int:

@@ -255,9 +255,9 @@ def test_moment_fit_fits_each_chunk_in_one_stacked_call(monkeypatch, link):
         monkeypatch.setattr(module, "fit_erm", lambda *a, **k: per_replication.append(a))
     # the default chunk holds all 50 replications; 3600 design elements
     # make chunks of 20, 10 and 5 at n = 60, 120 and 240
-    for budget, want_sizes in [(oracles._NEWTON_CHUNK, [50, 50, 50]),
+    for budget, want_sizes in [(oracles._CHUNK, [50, 50, 50]),
                                (3600, [20, 20, 10] + [10] * 5 + [5] * 10)]:
-        monkeypatch.setattr(oracles, "_NEWTON_CHUNK", budget)
+        monkeypatch.setattr(oracles, "_CHUNK", budget)
         sizes.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)

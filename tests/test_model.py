@@ -11,7 +11,10 @@ from splitavg import (
     ConfigError,
     DivisibilityError,
     GenerativeConfig,
+    HighDimRegime,
+    LossSpec,
     NoiseDist,
+    ols_gammas,
     sample_dataset,
     split_uniform,
 )
@@ -140,6 +143,17 @@ def test_config_validation():
         sample_dataset(_cfg(), 10, seed=-1)
     with pytest.raises(ConfigError, match="seed"):
         split_uniform(sample_dataset(_cfg(), 10, seed=0), 2, seed=-1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(1.0), p=0),
+    lambda: HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(1.0), p=-3),
+    lambda: ols_gammas(None, 1.0, -1),
+], ids=["highdim-p0", "highdim-p-3", "ols_gammas-p-1"])
+def test_every_covariance_caller_rejects_dimension_below_one(call):
+    # model._covariance judges p for every caller, before any array is built
+    with pytest.raises(ConfigError, match="dimension p must be >= 1"):
+        call()
 
 
 @pytest.mark.parametrize("make,param", [

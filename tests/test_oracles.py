@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import splitavg.model as model_module
+import splitavg.oracles as oracles
 from splitavg import (
     ALL_IDENTITY_IDS,
     ConfigError,
@@ -132,10 +134,10 @@ def test_mc_moment_fit_grid_validation():
 
 
 def test_mc_moment_fit_erm_path_matches_closed_form_path():
-    # squared loss routed through the generic Newton fitter must give the
-    # same law; use small reps and compare gamma1 within joint noise
+    # squared loss routed through the generic Newton fitter, on data of its
+    # own (exponential) link
     cfg = GenerativeConfig(p=2, theta0=np.array([0.5, -0.5]),
-                           noise=NoiseDist.gaussian(1.0))
+                           noise=NoiseDist.gaussian(1.0), link="exp_nonlinear")
     fit = mc_moment_fit(cfg, ModelSpec.nonlinear_ls(), n_grid=[80, 160, 320],
                         reps=60, seed=10)
     # exp link with its own theory is not checked here; just shape/finite
@@ -150,3 +152,39 @@ def test_mc_moment_fit_warns_about_unconverged_fits():
                            noise=NoiseDist.gaussian(10.0), link="exp_nonlinear")
     with pytest.warns(RuntimeWarning, match=r"1 of 200 Newton fits did not converge at n = 120"):
         mc_moment_fit(cfg, ModelSpec.nonlinear_ls(), n_grid=[60, 120, 240], reps=200, seed=1)
+
+
+@pytest.mark.parametrize("fitted,link", [(ModelSpec.logistic(), "linear"),
+                                         (ModelSpec.ols(), "logistic")],
+                         ids=["logistic-on-linear", "ols-on-logistic"])
+def test_mc_moment_fit_rejects_model_fit_to_another_link(fitted, link):
+    # theta0 is not the fit's target there: the coefficients would mean nothing
+    cfg = GenerativeConfig(p=2, theta0=np.array([0.5, -0.5]),
+                           noise=NoiseDist.gaussian(1.0), link=link)
+    with pytest.raises(ConfigError, match=f"data link '{link}' does not match"):
+        mc_moment_fit(cfg, fitted, n_grid=[60, 120, 240], reps=20, seed=0)
+
+
+def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
+    # 1e6 draws of p = 5 and 1000 replications of 240 x 3 both exceed _CHUNK
+    # elements, so each must be split into several passes
+    draws, fits = [], []
+    gaussian, stacked = model_module._gaussian, oracles.fit_closed_stacked
+    for module in (model_module, oracles):
+        monkeypatch.setattr(module, "_gaussian",
+                            lambda shape, *a: draws.append(shape) or gaussian(shape, *a))
+    monkeypatch.setattr(oracles, "fit_closed_stacked",
+                        lambda X, *a: fits.append(X.shape) or stacked(X, *a))
+
+    wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert max(np.prod(shape) for shape in draws) <= oracles._CHUNK
+    assert sum(rows for rows, _ in draws) == 2 * 10 ** 6  # x1 and x2 for every draw
+
+    draws.clear()
+    cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]),
+                           noise=NoiseDist.gaussian(1.0))
+    mc_moment_fit(cfg, ModelSpec.ridge(0.5), n_grid=[60, 120, 240], reps=1000, seed=0)
+    for shapes in (draws, fits):
+        assert max(np.prod(shape) for shape in shapes) <= oracles._CHUNK
+    for n in (60, 120, 240):
+        assert sum(reps for reps, rows, _ in fits if rows == n) == 1000

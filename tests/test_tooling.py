@@ -1,5 +1,5 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports,
-exported functions have callers, documented command lines parse."""
+exported functions have callers, documented command lines parse, README names resolve."""
 
 import ast
 import importlib
@@ -73,6 +73,17 @@ def test_documented_command_lines_parse():
                 build_parser().parse_args(argv)
             except UsageError as exc:
                 pytest.fail(f"{shlex.join(argv)}: {exc}")
+
+
+def test_every_module_name_in_the_readme_resolves():
+    # a `<module>.<name>` the README names must still exist in splitavg.<module>
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    named = set(re.findall(r"`(?:splitavg\.)?(\w+)\.(\w+)", (ROOT / "README.md").read_text()))
+    named = sorted((module, attr) for module, attr in named if module in modules)
+    assert named
+    missing = [f"{module}.{attr}" for module, attr in named
+               if not hasattr(importlib.import_module(f"splitavg.{module}"), attr)]
+    assert not missing, f"README.md names {missing}, which do not exist"
 
 
 def _called_names(path):
