@@ -296,28 +296,40 @@ def fit_erm(
     return fit_erm_stacked(d.X[None], d.y[None], model, init, tol, max_iter, trace)[0]
 
 
-def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
-    """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs.
+def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) -> np.ndarray:
+    """Solve (G/n + penalty I) theta = b/n for a stack of Grams G (..., p, p) and b (..., p).
 
-    ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
-    (..., p).  Every system gets the LAPACK calls of a lone 2-D solve
-    (``_cho_solve_stack``), so a slice of the stack equals its own fit
+    Every system gets the LAPACK calls of a lone 2-D solve
+    (``_cho_solve_stack``), so a slice of the stack equals its own solve
     bitwise.  A singular system, or one whose solution is not finite (NaN or
     inf data), raises ``RankError`` naming the lowest one.
     """
     if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
-    n, p = X.shape[-2:]
-    xt = np.swapaxes(X, -1, -2)
+    p = G.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solution fails below
-        a = xt @ X / n + penalty * np.eye(p)
-        b = xt @ y[..., None] / n
+        a = G / n + penalty * np.eye(p)
+        b = b / n
     theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
     ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
     if not ok.all():
         raise RankError("normal equations are singular (rank-deficient design)",
                         index=int(np.argmin(ok)))
     return theta.reshape(a.shape[:-1])
+
+
+def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
+    """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs: ``_solve_normal``
+    of their Grams.
+
+    ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
+    (..., p).
+    """
+    n = X.shape[-2]
+    xt = np.swapaxes(X, -1, -2)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite data fail in the solve
+        G, b = xt @ X, (xt @ y[..., None])[..., 0]
+    return _solve_normal(G, b, n, penalty)
 
 
 def fit_closed(d: Dataset, penalty: float = 0.0) -> np.ndarray:

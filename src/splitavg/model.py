@@ -170,6 +170,33 @@ def _draw(cfg: GenerativeConfig, shape: tuple, rng: np.random.Generator):
     return X, y
 
 
+def _gram_draw(cfg: GenerativeConfig, c: int, n: int, rng: np.random.Generator):
+    """Exact joint draws of (X'X, X'y) for c replications of n rows, shapes (c, p, p), (c, p).
+
+    Linear link and Gaussian noise only.  X'X = (L A)(L A)' with L the
+    covariance factor and A the lower-triangular Bartlett factor
+    (A_dd^2 ~ chi2(n - d), N(0, 1) below the diagonal; Smith & Hocking 1972),
+    and X'y = X'X theta0 + sigma L A z with z ~ N(0, I_p), since
+    X'eps | X ~ N(0, sigma^2 X'X).  Draw order: the diagonal, the entries
+    below it, then z.
+    """
+    p = cfg.p
+    if cfg.link != "linear" or cfg.noise.kind != "gaussian":
+        raise ConfigError("exact (X'X, X'y) draws need a linear link and gaussian noise")
+    if n < p:
+        raise ConfigError(f"exact (X'X, X'y) draws need n >= p = {p}")
+    A = np.zeros((c, p, p))
+    diag = np.arange(p)
+    A[:, diag, diag] = np.sqrt(rng.chisquare(n - diag, size=(c, p)))
+    below = np.tril_indices(p, -1)
+    A[:, below[0], below[1]] = rng.standard_normal((c, below[0].size))
+    F = A if cfg._chol is None else cfg._chol @ A
+    G = F @ np.swapaxes(F, -1, -2)
+    z = rng.standard_normal((c, p, 1))
+    b = G @ cfg.theta0 + np.sqrt(cfg.noise.param) * (F @ z)[..., 0]
+    return G, b
+
+
 def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. samples from the generative model, deterministically in seed."""
     if n < 1:

@@ -3,7 +3,10 @@
 These are deliberately independent of the closed forms they check.  The
 Wishart expressions are evaluated from raw Gaussian draws (each S_i is the
 rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
-coefficients of an estimator purely from simulation.
+coefficients of an estimator purely from simulation.  For OLS and ridge under
+Gaussian noise it draws each replication's exact (X'X, X'y) from Bartlett
+factors (``model._gram_draw``) instead of an n x p design: the same law,
+sampled without any of the expansions it checks.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import ModelSpec, fit_closed_stacked, fit_erm_stacked, population_target
+from .estimator import (ModelSpec, _solve_normal, fit_closed_stacked, fit_erm_stacked,
+                        population_target)
 from .estimator import fit_erm  # unused here; bench/tracing.py wraps oracles.fit_erm
-from .model import GenerativeConfig, _covariance, _draw, _gaussian, _rng, sample_dataset
+from .model import (GenerativeConfig, _covariance, _draw, _gaussian, _gram_draw, _rng,
+                    sample_dataset)
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
 SECOND_KIND_IDS = (
@@ -185,13 +190,20 @@ class MomentFitResult:
 def _errors(cfg, model, n, reps, rng):
     """Errors of ``reps`` fits at size n, one stacked fit per chunk of replications.
 
-    Warns once with the count of Newton fits that did not converge.
+    OLS and ridge under Gaussian noise solve exact (X'X, X'y) draws, a
+    replication being a row of p^2 Bartlett-factor elements; every other fit
+    draws its designs, a row of n p elements.  Warns once with the count of
+    Newton fits that did not converge.
     """
     target = population_target(cfg, model)
-    chunk = max(1, int(_CHUNK / (n * cfg.p)))  # a replication is a row of n p elements
+    exact = model.is_closed_form and cfg.noise.kind == "gaussian"
+    chunk = max(1, int(_CHUNK / (cfg.p ** 2 if exact else n * cfg.p)))
     fits, failed = [], 0
     for done in range(0, reps, chunk):
         c = min(chunk, reps - done)
+        if exact:
+            fits.append(_solve_normal(*_gram_draw(cfg, c, n, rng), n, model.penalty))
+            continue
         if model.is_closed_form:
             # no names for the draws: a chunk's design is freed before the next is drawn
             fits.append(fit_closed_stacked(*_draw(cfg, (c, n), rng), model.penalty))
@@ -205,6 +217,29 @@ def _errors(cfg, model, n, reps, rng):
         warnings.warn(f"{failed} of {reps} Newton fits did not converge at n = {n} "
                       "and are averaged in as they stopped", RuntimeWarning)
     return np.concatenate(fits) - target
+
+
+def _outer_moments(errs):
+    """Mean and ddof-1 standard deviation over the rows r of errs_r errs_r'.
+
+    The products are formed a pass of at most ``_CHUNK`` elements at a time,
+    twice: for their sum, then for their squared deviations.  The running
+    total is row 0 of each later pass, so a sum is one sequential axis-0
+    reduction and, for p >= 2, equals numpy's ``mean``/``std`` over all rows
+    at once bitwise (numpy sums a lone column pairwise).
+    """
+    reps, p = errs.shape
+    rows = max(1, int(_CHUNK / p ** 2) - 1)  # p^2 products a row, plus the running total
+
+    def total(term):
+        acc = None
+        for i in range(0, reps, rows):
+            blk = term(np.einsum("ri,rj->rij", errs[i:i + rows], errs[i:i + rows]))
+            acc = blk.sum(0) if acc is None else np.concatenate([acc[None], blk]).sum(0)
+        return acc
+
+    mean = total(lambda prods: prods) / reps
+    return mean, np.sqrt(total(lambda prods: (prods - mean) ** 2) / (reps - 1))
 
 
 def _wls(n_grid, values, ses):
@@ -270,9 +305,8 @@ def mc_moment_fit(
         errs = _errors(cfg, model, n, reps, rng)
         bias_by_n[n] = errs.mean(axis=0)
         bias_se_by_n[n] = errs.std(axis=0, ddof=1) / np.sqrt(reps)
-        prods = np.einsum("ri,rj->rij", errs, errs)
-        mse_by_n[n] = prods.mean(axis=0)
-        mse_se_by_n[n] = prods.std(axis=0, ddof=1) / np.sqrt(reps)
+        mse_by_n[n], std = _outer_moments(errs)
+        mse_se_by_n[n] = std / np.sqrt(reps)
 
     bias, bias_se, resid_bias, cond_bias = _fit_entries(n_grid, bias_by_n, bias_se_by_n)
     mse, mse_se, resid_mse, cond_mse = _fit_entries(n_grid, mse_by_n, mse_se_by_n)

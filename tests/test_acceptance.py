@@ -9,7 +9,6 @@ procedure.  Everything else is green.
 """
 
 import numpy as np
-import pytest
 from scipy import stats
 
 import splitavg as sa

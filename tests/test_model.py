@@ -178,3 +178,38 @@ def test_sigma_is_the_matrix_checked_at_construction(monkeypatch, spec):
     want = model.sigma_as_matrix(spec, 3)
     for got in reads:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("sigma", [np.array([0.5, 1.0, 2.0]),
+                                   np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])],
+                         ids=["diagonal", "dense"])
+def test_gram_draw_has_the_exact_moments_of_x_x_and_x_y(sigma, n):
+    # n rows x ~ N(0, S), y = x'theta0 + eps, eps ~ N(0, s2):
+    #   E X'X = n S,  Var (X'X)_ij = n (S_ij^2 + S_ii S_jj),
+    #   E X'y = n S theta0,  Cov X'y = n ((theta0' S theta0) S + S theta0 theta0' S + s2 S)
+    theta0, s2, draws = np.array([1.0, -2.0, 0.5]), 2.0, 10 ** 5
+    cfg = _cfg(theta0=theta0, noise=NoiseDist.gaussian(s2), sigma=sigma)
+    G, b = model._gram_draw(cfg, draws, n, np.random.default_rng(31))
+    S = cfg.sigma
+    st = S @ theta0
+    var_g = n * (S * S + np.outer(np.diag(S), np.diag(S)))
+    cov_b = n * ((theta0 @ st) * S + np.outer(st, st) + s2 * S)
+    z = [(G.mean(0) - n * S) / np.sqrt(var_g / draws),
+         (b.mean(0) - n * st) / np.sqrt(np.diag(cov_b) / draws)]
+    # second moments about the exact means, with their empirical standard errors
+    db = b - n * st
+    for dev, exact in (((G - n * S) ** 2, var_g), (np.einsum("ri,rj->rij", db, db), cov_b)):
+        z.append((dev.mean(0) - exact) / np.sqrt(dev.var(0, ddof=1) / draws))
+    assert max(np.max(np.abs(zs)) for zs in z) <= 5.0
+
+
+@pytest.mark.parametrize("cfg,n,match", [
+    (_cfg(), 2, "n >= p = 3"),
+    (_cfg(noise=NoiseDist.laplace(1.0)), 10, "gaussian noise"),
+    (_cfg(link="exp_nonlinear"), 10, "linear link"),
+    (_cfg(link="logistic"), 10, "linear link"),
+], ids=["n-below-p", "laplace", "exp_nonlinear", "logistic"])
+def test_gram_draw_rejects_laws_without_an_exact_draw(cfg, n, match):
+    with pytest.raises(ConfigError, match=match):
+        model._gram_draw(cfg, 4, n, np.random.default_rng(0))

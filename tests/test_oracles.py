@@ -16,10 +16,9 @@ from splitavg import (
     wishart_check,
     wishart_closed_form,
 )
-from splitavg.estimator import fit_closed, population_target
-from splitavg.model import Dataset, sample_noise
-from splitavg.oracles import FIRST_KIND_IDS, SECOND_KIND_IDS
-from splitavg.oracles import _errors as _closed_form_errors
+from splitavg.estimator import _solve_normal, fit_closed, fit_closed_stacked, population_target
+from splitavg.model import Dataset, _draw, _gram_draw, sample_noise
+from splitavg.oracles import FIRST_KIND_IDS
 
 # indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
 BAD_SIGMAS = [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0, 0.1], [0.0, 1.0]]),
@@ -97,14 +96,34 @@ def test_closed_form_errors_match_per_replication_fits(model, noise):
     cfg = GenerativeConfig(p=3, theta0=np.array([1.0, -2.0, 0.5]), noise=noise,
                            sigma_spec=np.array([1.0, 2.0, 0.5]))
     n, reps = 40, 25
-    errs = _closed_form_errors(cfg, model, n, reps, np.random.default_rng(6))
+    errs = oracles._errors(cfg, model, n, reps, np.random.default_rng(6))
     # the same draws, one replication at a time
     rng = np.random.default_rng(6)
-    x = rng.standard_normal((reps, n, cfg.p)) @ np.linalg.cholesky(cfg.sigma).T
-    y = x @ cfg.theta0 + sample_noise(noise, (reps, n), rng)
     target = population_target(cfg, model)
-    expect = [fit_closed(Dataset(x[r], y[r]), model.penalty) - target for r in range(reps)]
+    if noise.kind == "gaussian":  # exact (X'X, X'y) draws
+        G, b = _gram_draw(cfg, reps, n, rng)
+        expect = [_solve_normal(G[r], b[r], n, model.penalty) - target for r in range(reps)]
+    else:  # designs
+        x = rng.standard_normal((reps, n, cfg.p)) @ np.linalg.cholesky(cfg.sigma).T
+        y = x @ cfg.theta0 + sample_noise(noise, (reps, n), rng)
+        expect = [fit_closed(Dataset(x[r], y[r]), model.penalty) - target for r in range(reps)]
     assert np.max(np.abs(errs - np.array(expect))) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(0.5)])
+def test_exact_gram_errors_match_design_errors_in_law(model):
+    # two independent samples of 2e4 errors: one solved from exact (X'X, X'y)
+    # draws, one fitted to drawn designs; the mean and every second moment agree
+    cfg = GenerativeConfig(p=3, theta0=np.array([1.0, -2.0, 0.5]),
+                           noise=NoiseDist.gaussian(2.0), sigma_spec=np.array([1.0, 2.0, 0.5]))
+    n, reps = 30, 20_000
+    exact = oracles._errors(cfg, model, n, reps, np.random.default_rng(21))
+    design = fit_closed_stacked(*_draw(cfg, (reps, n), np.random.default_rng(22)),
+                                model.penalty) - population_target(cfg, model)
+    for stat in (lambda e: e, lambda e: np.einsum("ri,rj->rij", e, e)):
+        a, b = stat(exact), stat(design)
+        se = np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / reps)
+        assert np.max(np.abs(a.mean(0) - b.mean(0)) / se) <= 5.0
 
 
 def test_mc_moment_fit_residuals_shrink_with_wider_grid():
@@ -166,15 +185,18 @@ def test_mc_moment_fit_rejects_model_fit_to_another_link(fitted, link):
 
 
 def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
-    # 1e6 draws of p = 5 and 1000 replications of 240 x 3 both exceed _CHUNK
-    # elements, so each must be split into several passes
-    draws, fits = [], []
-    gaussian, stacked = model_module._gaussian, oracles.fit_closed_stacked
+    # 1e6 draws of p = 5, 1000 replications of 240 x 3 designs and 1000
+    # Bartlett factors of 25 x 25 all exceed _CHUNK elements, so each must be
+    # split into several passes
+    draws, fits, grams = [], [], []
+    gaussian, stacked, gram = model_module._gaussian, oracles.fit_closed_stacked, _gram_draw
     for module in (model_module, oracles):
         monkeypatch.setattr(module, "_gaussian",
                             lambda shape, *a: draws.append(shape) or gaussian(shape, *a))
     monkeypatch.setattr(oracles, "fit_closed_stacked",
                         lambda X, *a: fits.append(X.shape) or stacked(X, *a))
+    monkeypatch.setattr(oracles, "_gram_draw",
+                        lambda cfg, c, n, rng: grams.append((c, n, cfg.p)) or gram(cfg, c, n, rng))
 
     wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
     assert max(np.prod(shape) for shape in draws) <= oracles._CHUNK
@@ -182,9 +204,46 @@ def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
 
     draws.clear()
     cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]),
-                           noise=NoiseDist.gaussian(1.0))
+                           noise=NoiseDist.laplace(0.5))  # no exact law: design passes
     mc_moment_fit(cfg, ModelSpec.ridge(0.5), n_grid=[60, 120, 240], reps=1000, seed=0)
     for shapes in (draws, fits):
         assert max(np.prod(shape) for shape in shapes) <= oracles._CHUNK
     for n in (60, 120, 240):
         assert sum(reps for reps, rows, _ in fits if rows == n) == 1000
+    assert grams == []
+
+    draws.clear()
+    fits.clear()
+    cfg = GenerativeConfig(p=25, theta0=np.linspace(0.1, 0.25, 25),
+                           noise=NoiseDist.gaussian(1.0))
+    mc_moment_fit(cfg, ModelSpec.ridge(0.5), n_grid=[250, 500, 1000], reps=1000, seed=0)
+    assert draws == [] and fits == []
+    assert max(c * p * p for c, _, p in grams) <= oracles._CHUNK
+    for n in (250, 500, 1000):
+        assert sum(c for c, rows, _ in grams if rows == n) == 1000
+
+
+def test_moment_fit_builds_no_array_over_chunk_elements(monkeypatch):
+    # at p = 50 the outer products of all 2000 errors hold 5e6 elements;
+    # every array the oracle gets from numpy and every exact draw stays
+    # within _CHUNK
+    sizes = []
+
+    def recorded(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            sizes.extend(np.size(x) for x in (out if isinstance(out, tuple) else (out,)))
+            return out
+        return call
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            attr = getattr(np, name)
+            return recorded(attr) if callable(attr) and not isinstance(attr, type) else attr
+
+    monkeypatch.setattr(oracles, "np", RecordingNumpy())
+    monkeypatch.setattr(oracles, "_gram_draw", recorded(_gram_draw))
+    cfg = GenerativeConfig(p=50, theta0=np.full(50, 0.1), noise=NoiseDist.gaussian(1.0))
+    mc_moment_fit(cfg, ModelSpec.ridge(1.0), n_grid=[500, 1000, 2000], reps=2000, seed=0)
+    assert len(sizes) > 100
+    assert max(sizes) <= oracles._CHUNK

@@ -1,8 +1,9 @@
 """One shard path for every model: closed-form replications and moment fits, bit for bit.
 
-The digests below were frozen from the per-shard ``fit_closed`` loop and the
-moment oracle's own linear-model draw, which the stacked shard fit and the
-shared ``model._draw`` replaced.
+The replication digests below were frozen from the per-shard ``fit_closed``
+loop, which the stacked shard fit replaced, and the laplace moment-fit digests
+from the moment oracle's own linear-model draw, which the shared
+``model._draw`` replaced.
 """
 
 import hashlib
@@ -82,14 +83,15 @@ FROZEN_REPLICATIONS = {
     ('small', 'ridge', 'laplace', 'identity'): ['be3aaadb9cb5a1ae', '1a6eeae83b69fc2a'],
 }
 
-# per-n bias and second-moment arrays and both coefficient pairs
+# per-n bias and second-moment arrays and both coefficient pairs; the gaussian
+# entries solve exact (X'X, X'y) draws (model._gram_draw), the laplace ones drawn designs
 FROZEN_MOMENT_FITS = {
-    ('ols', 'gaussian', 'diagonal'): '5d4175bcba8e16f0',
-    ('ols', 'gaussian', 'identity'): '7920cbf972ad1a7b',
+    ('ols', 'gaussian', 'diagonal'): '60c0d7cd8e1bf262',
+    ('ols', 'gaussian', 'identity'): '76c88e32772d68c9',
     ('ols', 'laplace', 'diagonal'): 'ccca3e87a39f951c',
     ('ols', 'laplace', 'identity'): '9d70181d787afd56',
-    ('ridge', 'gaussian', 'diagonal'): '07d303b174e91c5e',
-    ('ridge', 'gaussian', 'identity'): '3d52c424f30f68a9',
+    ('ridge', 'gaussian', 'diagonal'): '0a8fd8cbe61698fd',
+    ('ridge', 'gaussian', 'identity'): 'fc951e3080e9f234',
     ('ridge', 'laplace', 'diagonal'): '89aad9570b58728c',
     ('ridge', 'laplace', 'identity'): '460d56ba5a42e7b0',
 }

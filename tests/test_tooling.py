@@ -1,5 +1,6 @@
-"""Static checks that stand in for a linter: tracer targets resolve, no unused imports,
-exported functions have callers, documented command lines parse, README names resolve."""
+"""Static checks that stand in for a linter: tracer targets resolve, no unused imports in
+the package, tests or scripts, exported functions have callers, documented command lines
+parse, README names resolve."""
 
 import ast
 import importlib
@@ -38,13 +39,16 @@ def _imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for folder in (PACKAGE, ROOT / "tests", ROOT / "scripts")
+    for p in folder.glob("*.py") if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(path):
-    tree = ast.parse((PACKAGE / path).read_text())
+    tree = ast.parse((ROOT / path).read_text())
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    module = importlib.import_module(f"splitavg.{Path(path).stem}")
-    traced = {attr for mod, attr, _ in _tracing().WRAPPED if mod is module}
+    traced = set()
+    if Path(path).parent == PACKAGE.relative_to(ROOT):
+        module = importlib.import_module(f"splitavg.{Path(path).stem}")
+        traced = {attr for mod, attr, _ in _tracing().WRAPPED if mod is module}
     unused = set(_imported_names(tree)) - used - traced
     assert not unused, f"{path} imports {sorted(unused)} and never uses them"
 
