@@ -3,7 +3,9 @@
 These are deliberately independent of the closed forms they check.  The
 Wishart expressions are evaluated from raw Gaussian draws (each S_i is the
 rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
-coefficients of an estimator purely from simulation.  For OLS and ridge under
+coefficients of an estimator purely from simulation.  ``wishart_check`` draws
+on one worker thread, in the serial draw order, while the calling thread sums
+the previous draws; the overlap needs a second core.  For OLS and ridge under
 Gaussian noise it draws each replication's exact (X'X, X'y) from Bartlett
 factors (``model._gram_draw``) instead of an n x p design: the same law,
 sampled without any of the expansions it checks.
@@ -12,6 +14,8 @@ sampled without any of the expansions it checks.
 from __future__ import annotations
 
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +128,12 @@ def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
     return dot12 * n2 * bx12, x1, x1
 
 
+def _mc_sums(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
+    """Sums over the draws of the expression w_r u_r v_r' and of its entrywise square."""
+    wt, u, v = _mc_terms(w, x1, x2)
+    return (u * wt[:, None]).T @ v, (u * u * (wt * wt)[:, None]).T @ (v * v)
+
+
 @dataclass(frozen=True, eq=False)
 class WishartCheckResult:
     mc_estimate: np.ndarray
@@ -135,6 +145,15 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     """Compare the MC average of the identity's expression with its closed form.
 
     Returns the entrywise worst |difference| / standard-error ratio.
+
+    A worker thread draws while the calling thread sums.  The draw stream is
+    the serial one: a pass of c draws is x1 (c rows), then x2 (c rows), each
+    drawn as two halves, and only the worker touches the generator.  The
+    caller sums a pass half by half, each x1 half with its x2 half, and
+    queues the next pass once it starts the second half, so that numpy,
+    which releases the interpreter lock while it fills normals and inside
+    large ufunc and BLAS calls, draws pass k + 1 on a second core while
+    pass k is summed.
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
@@ -143,13 +162,21 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
     chunk = max(1, int(_CHUNK / p))  # a draw is a row of p elements
-    for done in range(0, reps, chunk):
-        c = min(chunk, reps - done)
-        x1 = _gaussian((c, p), w._chol, rng)
-        x2 = _gaussian((c, p), w._chol, rng)
-        wt, u, v = _mc_terms(w, x1, x2)
-        total += (u * wt[:, None]).T @ v
-        total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
+    passes = [min(chunk, reps - done) for done in range(0, reps, chunk)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def draw(c):  # queue one pass; its futures in summing order
+            halves = [pool.submit(_gaussian, (rows, p), w._chol, rng)
+                      for rows in (c - c // 2, c // 2) * 2]
+            return halves[0], halves[2], halves[1], halves[3]
+
+        pending = deque(draw(passes[0]))
+        for half in range(2 * len(passes)):
+            if half % 2 and half // 2 + 1 < len(passes):
+                pending.extend(draw(passes[half // 2 + 1]))
+            # popped, so a future does not keep its draw alive after the sum
+            s, s_sq = _mc_sums(w, pending.popleft().result(), pending.popleft().result())
+            total += s
+            total_sq += s_sq
     mean = total / reps
     var = (total_sq / reps - mean * mean) * reps / (reps - 1)
     se = np.sqrt(np.maximum(var, 0.0) / reps)
@@ -187,6 +214,19 @@ class MomentFitResult:
     fit_residual_mse: float = 0.0
 
 
+def _seeded_designs(cfg, c, n, rng):
+    """Designs (c, n, p) and responses (c, n) of c ``sample_dataset`` draws seeded from rng.
+
+    Each dataset is copied into the stack as it is drawn, so a pass holds
+    its designs once.
+    """
+    X, y = np.empty((c, n, cfg.p)), np.empty((c, n))
+    for r in range(c):
+        d = sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1)))
+        X[r], y[r] = d.X, d.y
+    return X, y
+
+
 def _errors(cfg, model, n, reps, rng):
     """Errors of ``reps`` fits at size n, one stacked fit per chunk of replications.
 
@@ -208,9 +248,8 @@ def _errors(cfg, model, n, reps, rng):
             # no names for the draws: a chunk's design is freed before the next is drawn
             fits.append(fit_closed_stacked(*_draw(cfg, (c, n), rng), model.penalty))
             continue
-        ds = [sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1))) for _ in range(c)]
-        reports = fit_erm_stacked(np.array([d.X for d in ds]), np.array([d.y for d in ds]),
-                                  model, init=target, tol=1e-8)
+        reports = fit_erm_stacked(*_seeded_designs(cfg, c, n, rng), model, init=target,
+                                  tol=1e-8)
         fits.append([r.theta_hat for r in reports])
         failed += sum(not r.converged for r in reports)
     if failed:
@@ -242,36 +281,32 @@ def _outer_moments(errs):
     return mean, np.sqrt(total(lambda prods: (prods - mean) ** 2) / (reps - 1))
 
 
-def _wls(n_grid, values, ses):
-    """Weighted LS fit of values(n) = a/n + b/n^2 with known standard errors."""
+def _fit_entries(n_grid, by_n, se_by_n):
+    """Weighted LS fits of values(n) = a/n + b/n^2 with known standard errors.
+
+    One fit per entry of the per-n arrays, all solved as one stack.  Returns
+    the stacked (a, b) coefficients, their standard errors, and the worst
+    residual and design condition number over the entries.
+    """
+    shape = by_n[n_grid[0]].shape
     ns = np.asarray(n_grid, dtype=float)
     design = np.vstack([1.0 / ns, 1.0 / ns ** 2]).T
-    ses = np.asarray(ses, dtype=float)
-    floor = max(1e-300, 1e-8 * float(np.max(ses))) if np.max(ses) > 0 else 1.0
+    values = np.stack([by_n[n].ravel() for n in n_grid], axis=-1)  # (entries, n)
+    ses = np.stack([se_by_n[n].ravel() for n in n_grid], axis=-1)
+    top = ses.max(axis=-1, keepdims=True)
+    floor = np.where(top > 0, np.maximum(1e-300, 1e-8 * top), 1.0)
     w = 1.0 / np.maximum(ses, floor) ** 2
-    zw = design * np.sqrt(w)[:, None]
-    yw = np.asarray(values) * np.sqrt(w)
-    cov = np.linalg.inv(zw.T @ zw)
-    coef = cov @ (zw.T @ yw)
-    resid = float(np.linalg.norm(design @ coef - values))
-    return coef, np.sqrt(np.diag(cov)), resid, np.linalg.cond(zw)
-
-
-def _fit_entries(n_grid, by_n, se_by_n):
-    """``_wls`` on every entry of the per-n arrays.
-
-    Returns the stacked (a, b) coefficients, their standard errors, and the
-    worst residual and design condition number over the entries.
-    """
-    shape = (2,) + by_n[n_grid[0]].shape
-    coef, se = np.empty(shape), np.empty(shape)
-    worst_resid = worst_cond = 0.0
-    for idx in np.ndindex(shape[1:]):
-        entry = (slice(None),) + idx
-        coef[entry], se[entry], resid, cond = _wls(
-            n_grid, [by_n[n][idx] for n in n_grid], [se_by_n[n][idx] for n in n_grid])
-        worst_resid, worst_cond = max(worst_resid, resid), max(worst_cond, cond)
-    return coef, se, worst_resid, worst_cond
+    zw = design * np.sqrt(w)[..., None]  # (entries, n, 2)
+    yw = values * np.sqrt(w)
+    zwt = np.swapaxes(zw, -1, -2)
+    cov = np.linalg.inv(zwt @ zw)
+    coef = (cov @ (zwt @ yw[..., None]))[..., 0]
+    se = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    # per entry, as a lone fit forms it: a stacked norm sums in another order
+    resid = [np.linalg.norm(design @ c - v) for c, v in zip(coef, values)]
+    # a running max from 0.0 over the entries, which passes over a NaN entry
+    worst_resid, worst_cond = (float(max([0.0, *x])) for x in (resid, np.linalg.cond(zw)))
+    return coef.T.reshape((2,) + shape), se.T.reshape((2,) + shape), worst_resid, worst_cond
 
 
 def mc_moment_fit(

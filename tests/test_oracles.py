@@ -1,5 +1,9 @@
 """Wishart identity checks and the moment-fit oracle's own consistency."""
 
+import threading
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,6 +83,70 @@ def test_wishart_check_deterministic():
     b = wishart_check(w, reps=20_000, seed=9)
     assert np.array_equal(a.mc_estimate, b.mc_estimate)
     assert a.max_abs_z == b.max_abs_z
+
+
+def _serial_check(w, reps, seed):
+    """wishart_check's mean and max |z| from one thread: each pass drawn whole, summed by halves."""
+    rng, p = np.random.default_rng(seed), w.p
+    total, total_sq = np.zeros((p, p)), np.zeros((p, p))
+    chunk = int(oracles._CHUNK / p)
+    for done in range(0, reps, chunk):
+        c = min(chunk, reps - done)
+        x1 = rng.standard_normal((c, p))
+        x2 = rng.standard_normal((c, p))
+        if w._chol is not None:
+            x1, x2 = x1 @ w._chol.T, x2 @ w._chol.T
+        for rows in (slice(0, c - c // 2), slice(c - c // 2, c)):
+            s, s_sq = oracles._mc_sums(w, x1[rows].copy(), x2[rows].copy())
+            total += s
+            total_sq += s_sq
+    mean = total / reps
+    se = np.sqrt(np.maximum((total_sq / reps - mean * mean) * reps / (reps - 1), 0.0) / reps)
+    return mean, float(np.max(np.abs(mean - wishart_closed_form(w)) / se))
+
+
+@pytest.mark.parametrize("sigma", [np.eye(3), np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2],
+                                                         [0.0, 0.2, 1.5]])],
+                         ids=["identity", "dense"])
+def test_wishart_check_equals_a_serial_loop_bitwise(monkeypatch, sigma):
+    # passes of 10001 draws (halves of 5001 and 5000), three of them and 17 more;
+    # the worker applies the dense covariance factor
+    monkeypatch.setattr(oracles, "_CHUNK", 3 * 10_001)
+    w = WishartIdentity("E_SBS2BS", sigma, np.diag([1.0, -0.5, 2.0]))
+    reps = 3 * 10_001 + 17
+    res = wishart_check(w, reps=reps, seed=12)
+    mean, max_z = _serial_check(w, reps, 12)
+    assert res.mc_estimate.tobytes() == mean.tobytes()
+    assert res.max_abs_z == max_z
+
+
+def test_wishart_check_draws_on_one_worker_in_half_passes(monkeypatch):
+    # two passes of draws are alive at once, so one draw array holds half a pass
+    calls, gaussian = [], oracles._gaussian
+    monkeypatch.setattr(oracles, "_gaussian", lambda shape, *a: calls.append(
+        (shape, threading.get_ident())) or gaussian(shape, *a))
+    wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert max(np.prod(shape) for shape, _ in calls) <= oracles._CHUNK / 2
+    assert sum(shape[0] for shape, _ in calls) == 2 * 10 ** 6
+    drawers = {ident for _, ident in calls}
+    assert len(drawers) == 1 and threading.get_ident() not in drawers
+
+
+def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):
+    calls, gaussian = [], oracles._gaussian
+
+    def draw(shape, *a):
+        calls.append(shape)
+        if len(calls) == 5:  # the first half of pass 2's x1
+            raise MemoryError("draw failed")
+        return gaussian(shape, *a)
+
+    monkeypatch.setattr(oracles, "_gaussian", draw)
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="draw failed"):
+        wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert set(threading.enumerate()) == before
+    assert len(calls) == 8  # pass 2 was queued whole; nothing after it
 
 
 def test_mc_moment_fit_ols_bias_is_zero():
@@ -221,6 +289,24 @@ def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
     assert max(c * p * p for c, _, p in grams) <= oracles._CHUNK
     for n in (250, 500, 1000):
         assert sum(c for c, rows, _ in grams if rows == n) == 1000
+
+
+def test_newton_moment_fit_pass_holds_its_designs_once():
+    # one full pass of NLS designs at p = 3, n = 240; a list of datasets kept
+    # beside its stacked copy peaked at 6.4 times the stacked design's bytes
+    cfg = GenerativeConfig(p=3, theta0=np.array([0.1, 0.175, 0.25]),
+                           noise=NoiseDist.gaussian(1.0), link="exp_nonlinear")
+    n = 240
+    reps = int(oracles._CHUNK / (n * cfg.p))
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            oracles._errors(cfg, ModelSpec.nonlinear_ls(), n, reps, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * reps * n * cfg.p * 8
 
 
 def test_moment_fit_builds_no_array_over_chunk_elements(monkeypatch):
