@@ -5,7 +5,8 @@ Wishart expressions are evaluated from raw Gaussian draws (each S_i is the
 rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
 coefficients of an estimator purely from simulation.  ``wishart_check`` draws
 on one worker thread, in the serial draw order, while the calling thread sums
-the previous draws; the overlap needs a second core.  For OLS and ridge under
+the previous draws in cache-sized blocks; the overlap needs a second core.
+For OLS and ridge under
 Gaussian noise it draws each replication's exact (X'X, X'y) from Bartlett
 factors (``model._gram_draw``) instead of an n x p design: the same law,
 sampled without any of the expansions it checks.
@@ -38,6 +39,7 @@ SECOND_KIND_IDS = (
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
 _CHUNK = 5e5  # elements of one draw array per pass of either oracle: bounds their memory
+_BLOCK = 2 ** 15  # elements of one summing block of wishart_check's draws (256 kB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +130,19 @@ def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
     return dot12 * n2 * bx12, x1, x1
 
 
-def _mc_sums(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
-    """Sums over the draws of the expression w_r u_r v_r' and of its entrywise square."""
-    wt, u, v = _mc_terms(w, x1, x2)
-    return (u * wt[:, None]).T @ v, (u * u * (wt * wt)[:, None]).T @ (v * v)
+def _add_mc_sums(w: WishartIdentity, x1, x2, total, total_sq):
+    """Add the sums over the draws of w_r u_r v_r' and of its entrywise square to the totals.
+
+    Summed in blocks of ``_BLOCK`` elements of a draw array: the blocks'
+    temporaries stay in cache, and at small p their products are too small
+    for BLAS to spread over threads that would compete with the drawing
+    worker.
+    """
+    rows = max(1, int(_BLOCK / w.p))
+    for r in range(0, len(x1), rows):
+        wt, u, v = _mc_terms(w, x1[r:r + rows], x2[r:r + rows])
+        total += (u * wt[:, None]).T @ v
+        total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +157,15 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
 
     Returns the entrywise worst |difference| / standard-error ratio.
 
-    A worker thread draws while the calling thread sums.  The draw stream is
-    the serial one: a pass of c draws is x1 (c rows), then x2 (c rows), each
-    drawn as two halves, and only the worker touches the generator.  The
-    caller sums a pass half by half, each x1 half with its x2 half, and
-    queues the next pass once it starts the second half, so that numpy,
-    which releases the interpreter lock while it fills normals and inside
-    large ufunc and BLAS calls, draws pass k + 1 on a second core while
-    pass k is summed.
+    A worker thread draws while the calling thread sums.  The normals are
+    the serial stream's: a pass of c draws is x1 (c rows), then x2 (c rows),
+    each drawn as two halves, and only the worker touches the generator.  A
+    dense Sigma's factor is applied to each half, so its rows equal a
+    whole-pass product's to rounding.  The caller sums a pass half by half,
+    each x1 half with its x2 half, in cache-sized blocks, and queues the next
+    pass once it starts the second half, so that numpy, which releases the
+    interpreter lock while it fills normals and inside ufunc and BLAS calls,
+    draws pass k + 1 on a second core while pass k is summed.
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
@@ -174,9 +186,8 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
             if half % 2 and half // 2 + 1 < len(passes):
                 pending.extend(draw(passes[half // 2 + 1]))
             # popped, so a future does not keep its draw alive after the sum
-            s, s_sq = _mc_sums(w, pending.popleft().result(), pending.popleft().result())
-            total += s
-            total_sq += s_sq
+            _add_mc_sums(w, pending.popleft().result(), pending.popleft().result(), total,
+                         total_sq)
     mean = total / reps
     var = (total_sq / reps - mean * mean) * reps / (reps - 1)
     se = np.sqrt(np.maximum(var, 0.0) / reps)

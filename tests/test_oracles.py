@@ -97,9 +97,7 @@ def _serial_check(w, reps, seed):
         if w._chol is not None:
             x1, x2 = x1 @ w._chol.T, x2 @ w._chol.T
         for rows in (slice(0, c - c // 2), slice(c - c // 2, c)):
-            s, s_sq = oracles._mc_sums(w, x1[rows].copy(), x2[rows].copy())
-            total += s
-            total_sq += s_sq
+            oracles._add_mc_sums(w, x1[rows], x2[rows], total, total_sq)
     mean = total / reps
     se = np.sqrt(np.maximum((total_sq / reps - mean * mean) * reps / (reps - 1), 0.0) / reps)
     return mean, float(np.max(np.abs(mean - wishart_closed_form(w)) / se))
@@ -108,16 +106,21 @@ def _serial_check(w, reps, seed):
 @pytest.mark.parametrize("sigma", [np.eye(3), np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2],
                                                          [0.0, 0.2, 1.5]])],
                          ids=["identity", "dense"])
-def test_wishart_check_equals_a_serial_loop_bitwise(monkeypatch, sigma):
-    # passes of 10001 draws (halves of 5001 and 5000), three of them and 17 more;
-    # the worker applies the dense covariance factor
+def test_wishart_check_equals_a_serial_loop(monkeypatch, sigma):
+    # passes of 10001 draws (halves of 5001 and 5000), three of them and 17 more,
+    # each half summed in blocks of 1000 draws
     monkeypatch.setattr(oracles, "_CHUNK", 3 * 10_001)
+    monkeypatch.setattr(oracles, "_BLOCK", 3 * 1_000)
     w = WishartIdentity("E_SBS2BS", sigma, np.diag([1.0, -0.5, 2.0]))
     reps = 3 * 10_001 + 17
     res = wishart_check(w, reps=reps, seed=12)
     mean, max_z = _serial_check(w, reps, 12)
-    assert res.mc_estimate.tobytes() == mean.tobytes()
-    assert res.max_abs_z == max_z
+    if w._chol is None:  # the same normals in the same sums: bitwise
+        assert res.mc_estimate.tobytes() == mean.tobytes()
+        assert res.max_abs_z == max_z
+    else:  # the worker applies the factor to each half pass: equal to rounding
+        np.testing.assert_allclose(res.mc_estimate, mean, rtol=1e-12)
+        assert res.max_abs_z == pytest.approx(max_z, rel=1e-9)
 
 
 def test_wishart_check_draws_on_one_worker_in_half_passes(monkeypatch):
@@ -130,6 +133,17 @@ def test_wishart_check_draws_on_one_worker_in_half_passes(monkeypatch):
     assert sum(shape[0] for shape, _ in calls) == 2 * 10 ** 6
     drawers = {ident for _, ident in calls}
     assert len(drawers) == 1 and threading.get_ident() not in drawers
+
+
+def test_wishart_check_sums_in_blocks_on_the_calling_thread(monkeypatch):
+    # cache-sized blocks, whose products BLAS keeps off the drawing worker's core
+    calls, terms = [], oracles._mc_terms
+    monkeypatch.setattr(oracles, "_mc_terms", lambda w, x1, x2: calls.append(
+        (x1.size, threading.get_ident())) or terms(w, x1, x2))
+    wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert max(size for size, _ in calls) <= oracles._BLOCK
+    assert sum(size for size, _ in calls) == 5 * 10 ** 6
+    assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):

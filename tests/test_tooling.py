@@ -1,6 +1,6 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
-parse, README names resolve, and the suite's thread-leak check fails a leaking test."""
+parse, README names resolve."""
 
 import ast
 import importlib
@@ -8,7 +8,6 @@ import importlib.util
 import inspect
 import re
 import shlex
-import threading
 from pathlib import Path
 
 import pytest
@@ -114,21 +113,3 @@ def test_every_exported_function_is_called_outside_its_module():
                 callers[name].add(path.resolve())
     uncalled = sorted(name for name, paths in callers.items() if not paths - {functions[name]})
     assert not uncalled, f"exported but never called outside their module: {uncalled}"
-
-
-def test_a_thread_left_running_fails_its_test():
-    # conftest's autouse check, run by hand around a thread that outlives its "test"
-    from conftest import no_thread_left_behind
-
-    check = no_thread_left_behind.__wrapped__()
-    next(check)
-    release = threading.Event()
-    leaked = threading.Thread(target=release.wait, name="leaked-worker")
-    leaked.start()
-    try:
-        with pytest.raises(pytest.fail.Exception, match="leaked-worker"):
-            next(check)
-    finally:
-        release.set()
-        leaked.join(timeout=5.0)
-    assert not leaked.is_alive()
