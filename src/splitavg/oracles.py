@@ -4,18 +4,16 @@ These are deliberately independent of the closed forms they check.  The
 Wishart expressions are evaluated from raw Gaussian draws (each S_i is the
 rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
 coefficients of an estimator purely from simulation.  ``wishart_check`` draws
-on one worker thread, in the serial draw order, while the calling thread sums
-the previous draws in cache-sized blocks; the overlap needs a second core.
-For OLS and ridge under
-Gaussian noise it draws each replication's exact (X'X, X'y) from Bartlett
-factors (``model._gram_draw``) instead of an n x p design: the same law,
-sampled without any of the expansions it checks.
+on one worker thread, a block at a time, while the calling thread sums the
+previous block.  For OLS and ridge under Gaussian noise the moment fit draws
+each replication's exact (X'X, X'y) from Bartlett factors
+(``model._gram_draw``) instead of an n x p design: the same law, sampled
+without any of the expansions it checks.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,8 +36,8 @@ SECOND_KIND_IDS = (
     "E_SS22BS",
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
-_CHUNK = 5e5  # elements of one draw array per pass of either oracle: bounds their memory
-_BLOCK = 2 ** 15  # elements of one summing block of wishart_check's draws (256 kB)
+_CHUNK = 5e5  # elements of one draw array per pass of the moment fit: bounds its memory
+_BLOCK = 2 ** 15  # elements of one block of wishart_check's x1 (256 kB): its unit of work
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,21 +128,6 @@ def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
     return dot12 * n2 * bx12, x1, x1
 
 
-def _add_mc_sums(w: WishartIdentity, x1, x2, total, total_sq):
-    """Add the sums over the draws of w_r u_r v_r' and of its entrywise square to the totals.
-
-    Summed in blocks of ``_BLOCK`` elements of a draw array: the blocks'
-    temporaries stay in cache, and at small p their products are too small
-    for BLAS to spread over threads that would compete with the drawing
-    worker.
-    """
-    rows = max(1, int(_BLOCK / w.p))
-    for r in range(0, len(x1), rows):
-        wt, u, v = _mc_terms(w, x1[r:r + rows], x2[r:r + rows])
-        total += (u * wt[:, None]).T @ v
-        total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
-
-
 @dataclass(frozen=True, eq=False)
 class WishartCheckResult:
     mc_estimate: np.ndarray
@@ -157,37 +140,35 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
 
     Returns the entrywise worst |difference| / standard-error ratio.
 
-    A worker thread draws while the calling thread sums.  The normals are
-    the serial stream's: a pass of c draws is x1 (c rows), then x2 (c rows),
-    each drawn as two halves, and only the worker touches the generator.  A
-    dense Sigma's factor is applied to each half, so its rows equal a
-    whole-pass product's to rounding.  The caller sums a pass half by half,
-    each x1 half with its x2 half, in cache-sized blocks, and queues the next
-    pass once it starts the second half, so that numpy, which releases the
-    interpreter lock while it fills normals and inside ufunc and BLAS calls,
-    draws pass k + 1 on a second core while pass k is summed.
+    x1 is the stream of one child generator of ``seed`` and x2 that of the
+    other, drawn in blocks of ``_BLOCK`` elements of x1, so the normals
+    depend on (reps, seed) alone.  One worker thread draws block k + 1 while
+    the calling thread sums block k: numpy releases the interpreter lock
+    while it fills normals and inside ufunc and BLAS calls, so on two cores
+    the two run at once.  At small p a block's products stay too small for
+    BLAS to spread over threads that would compete with the worker.
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
-    rng = _rng(seed)
+    rng1, rng2 = _rng(seed).spawn(2)
     p = w.p
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
-    chunk = max(1, int(_CHUNK / p))  # a draw is a row of p elements
-    passes = [min(chunk, reps - done) for done in range(0, reps, chunk)]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        def draw(c):  # queue one pass; its futures in summing order
-            halves = [pool.submit(_gaussian, (rows, p), w._chol, rng)
-                      for rows in (c - c // 2, c // 2) * 2]
-            return halves[0], halves[2], halves[1], halves[3]
+    rows = max(1, int(_BLOCK / p))  # a draw is a row of p elements
 
-        pending = deque(draw(passes[0]))
-        for half in range(2 * len(passes)):
-            if half % 2 and half // 2 + 1 < len(passes):
-                pending.extend(draw(passes[half // 2 + 1]))
-            # popped, so a future does not keep its draw alive after the sum
-            _add_mc_sums(w, pending.popleft().result(), pending.popleft().result(), total,
-                         total_sq)
+    def draws():  # advanced only on the worker, so one thread uses the generators
+        for done in range(0, reps, rows):
+            shape = (min(rows, reps - done), p)
+            yield _gaussian(shape, w._chol, rng1), _gaussian(shape, w._chol, rng2)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        blocks = draws()
+        pending = pool.submit(next, blocks, None)
+        while (block := pending.result()) is not None:
+            pending = pool.submit(next, blocks, None)
+            wt, u, v = _mc_terms(w, *block)
+            total += (u * wt[:, None]).T @ v
+            total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
     mean = total / reps
     var = (total_sq / reps - mean * mean) * reps / (reps - 1)
     se = np.sqrt(np.maximum(var, 0.0) / reps)

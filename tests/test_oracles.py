@@ -86,50 +86,74 @@ def test_wishart_check_deterministic():
 
 
 def _serial_check(w, reps, seed):
-    """wishart_check's mean and max |z| from one thread: each pass drawn whole, summed by halves."""
-    rng, p = np.random.default_rng(seed), w.p
+    """wishart_check's draws, mean and max |z| from one thread: x1 and x2 drawn whole."""
+    rng1, rng2 = np.random.default_rng(seed).spawn(2)
+    p, rows = w.p, int(oracles._BLOCK / w.p)
+    x1, x2 = rng1.standard_normal((reps, p)), rng2.standard_normal((reps, p))
+    if w._chol is not None:
+        x1, x2 = x1 @ w._chol.T, x2 @ w._chol.T
     total, total_sq = np.zeros((p, p)), np.zeros((p, p))
-    chunk = int(oracles._CHUNK / p)
-    for done in range(0, reps, chunk):
-        c = min(chunk, reps - done)
-        x1 = rng.standard_normal((c, p))
-        x2 = rng.standard_normal((c, p))
-        if w._chol is not None:
-            x1, x2 = x1 @ w._chol.T, x2 @ w._chol.T
-        for rows in (slice(0, c - c // 2), slice(c - c // 2, c)):
-            oracles._add_mc_sums(w, x1[rows], x2[rows], total, total_sq)
+    for r in range(0, reps, rows):
+        wt, u, v = oracles._mc_terms(w, x1[r:r + rows], x2[r:r + rows])
+        total += (u * wt[:, None]).T @ v
+        total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
     mean = total / reps
     se = np.sqrt(np.maximum((total_sq / reps - mean * mean) * reps / (reps - 1), 0.0) / reps)
-    return mean, float(np.max(np.abs(mean - wishart_closed_form(w)) / se))
+    return (x1, x2), mean, float(np.max(np.abs(mean - wishart_closed_form(w)) / se))
 
 
-@pytest.mark.parametrize("sigma", [np.eye(3), np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2],
-                                                         [0.0, 0.2, 1.5]])],
-                         ids=["identity", "dense"])
+def _recorded_check(monkeypatch, w, reps, seed):
+    """wishart_check's result and its x1 and x2, each concatenated over the blocks."""
+    draws, gaussian = [], model_module._gaussian
+    monkeypatch.setattr(oracles, "_gaussian",
+                        lambda *a: draws.append(gaussian(*a)) or draws[-1])
+    res = wishart_check(w, reps=reps, seed=seed)
+    return res, (np.concatenate(draws[0::2]), np.concatenate(draws[1::2]))
+
+
+DENSE_SIGMA = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])
+
+
+@pytest.mark.parametrize("sigma", [np.eye(3), DENSE_SIGMA], ids=["identity", "dense"])
 def test_wishart_check_equals_a_serial_loop(monkeypatch, sigma):
-    # passes of 10001 draws (halves of 5001 and 5000), three of them and 17 more,
-    # each half summed in blocks of 1000 draws
-    monkeypatch.setattr(oracles, "_CHUNK", 3 * 10_001)
-    monkeypatch.setattr(oracles, "_BLOCK", 3 * 1_000)
+    # blocks of 3334 draws, three of them and 17 more
+    monkeypatch.setattr(oracles, "_BLOCK", 3 * 3_334)
     w = WishartIdentity("E_SBS2BS", sigma, np.diag([1.0, -0.5, 2.0]))
-    reps = 3 * 10_001 + 17
-    res = wishart_check(w, reps=reps, seed=12)
-    mean, max_z = _serial_check(w, reps, 12)
+    reps = 3 * 3_334 + 17
+    res, draws = _recorded_check(monkeypatch, w, reps, 12)
+    want, mean, max_z = _serial_check(w, reps, 12)
     if w._chol is None:  # the same normals in the same sums: bitwise
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(draws, want))
         assert res.mc_estimate.tobytes() == mean.tobytes()
         assert res.max_abs_z == max_z
-    else:  # the worker applies the factor to each half pass: equal to rounding
+    else:  # the worker applies the factor to each block: equal to rounding
         np.testing.assert_allclose(res.mc_estimate, mean, rtol=1e-12)
-        assert res.max_abs_z == pytest.approx(max_z, rel=1e-9)
+        assert res.max_abs_z == pytest.approx(max_z, rel=1e-12)
 
 
-def test_wishart_check_draws_on_one_worker_in_half_passes(monkeypatch):
-    # two passes of draws are alive at once, so one draw array holds half a pass
+@pytest.mark.parametrize("sigma", [np.eye(3), DENSE_SIGMA], ids=["identity", "dense"])
+def test_wishart_check_does_not_depend_on_the_block_size(monkeypatch, sigma):
+    # nor on the moment fit's memory budget
+    w = WishartIdentity("E_SBS", sigma, np.diag([1.0, -0.5, 2.0]))
+    runs = []
+    for block, chunk in ((3 * 1_000, 1e4), (oracles._BLOCK, oracles._CHUNK), (3 * 10_001, 1e6)):
+        monkeypatch.setattr(oracles, "_BLOCK", block)
+        monkeypatch.setattr(oracles, "_CHUNK", chunk)
+        runs.append(_recorded_check(monkeypatch, w, 20_017, 3))
+    (first, first_draws), *rest = runs
+    for res, draws in rest:
+        np.testing.assert_allclose(res.mc_estimate, first.mc_estimate, rtol=1e-12)
+        if w._chol is None:
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(draws, first_draws))
+
+
+def test_wishart_check_draws_on_one_worker_in_blocks(monkeypatch):
+    # at most two blocks are alive at once, so one draw array holds one block
     calls, gaussian = [], oracles._gaussian
     monkeypatch.setattr(oracles, "_gaussian", lambda shape, *a: calls.append(
         (shape, threading.get_ident())) or gaussian(shape, *a))
     wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
-    assert max(np.prod(shape) for shape, _ in calls) <= oracles._CHUNK / 2
+    assert max(np.prod(shape) for shape, _ in calls) <= oracles._BLOCK
     assert sum(shape[0] for shape, _ in calls) == 2 * 10 ** 6
     drawers = {ident for _, ident in calls}
     assert len(drawers) == 1 and threading.get_ident() not in drawers
@@ -151,7 +175,7 @@ def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):
 
     def draw(shape, *a):
         calls.append(shape)
-        if len(calls) == 5:  # the first half of pass 2's x1
+        if len(calls) == 5:  # block 3's x1
             raise MemoryError("draw failed")
         return gaussian(shape, *a)
 
@@ -160,7 +184,7 @@ def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):
     with pytest.raises(MemoryError, match="draw failed"):
         wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
     assert set(threading.enumerate()) == before
-    assert len(calls) == 8  # pass 2 was queued whole; nothing after it
+    assert len(calls) == 5  # no draw follows the failed one
 
 
 def test_mc_moment_fit_ols_bias_is_zero():
