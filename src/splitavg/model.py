@@ -96,6 +96,13 @@ def _gaussian(shape: tuple, chol, rng: np.random.Generator) -> np.ndarray:
     return x if chol is None else x @ chol.T
 
 
+def _frozen(values) -> np.ndarray:
+    """A read-only float copy of ``values``."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GenerativeConfig:
     """True model: design covariance, coefficients, noise and response link."""
@@ -109,13 +116,18 @@ class GenerativeConfig:
     _chol: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # None: I
 
     def __post_init__(self):
-        sigma, chol = _covariance(self.sigma_spec, self.p)
+        # Private read-only copies: a caller's later edit cannot reach theta0,
+        # nor move sigma_spec away from the sigma and factor checked here.
+        spec = None if self.sigma_spec is None else _frozen(self.sigma_spec)
+        sigma, chol = _covariance(spec, self.p)
         if self.link not in LINKS:
             raise ConfigError(f"unknown link {self.link!r}")
-        theta0 = np.asarray(self.theta0, dtype=float)
+        theta0 = _frozen(self.theta0)
         if theta0.shape != (self.p,):
             raise ConfigError(f"theta0 must have shape ({self.p},)")
+        sigma.setflags(write=False)
         object.__setattr__(self, "theta0", theta0)
+        object.__setattr__(self, "sigma_spec", spec)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "_chol", chol)
 

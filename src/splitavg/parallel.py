@@ -8,8 +8,9 @@ invariant to execution order and to any parallel schedule.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .model import split_uniform  # unused here; bench/tracing.py wraps parallel
 # the ULP of the risk (the floor scales with the noise variance).
 _NEWTON_TOL = 1e-6
 
+# Each thread's shard stacks (``_gather``), reused while (m, n, p) holds.
+_stacks = threading.local()
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
@@ -36,6 +40,7 @@ class ExperimentConfig:
     m: int
     replications: int
     base_seed: int = 0
+    _target: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.N < 1 or self.m < 1:
@@ -46,15 +51,18 @@ class ExperimentConfig:
             raise ConfigError("replications must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be >= 0")
-        population_target(self.gen, self.model)  # rejects a model fit to another link
+        target = population_target(self.gen, self.model)  # rejects a model fit to another link
+        target.setflags(write=False)
+        object.__setattr__(self, "_target", target)
 
     @property
     def n(self) -> int:
         return self.N // self.m
 
     def theta_star(self) -> np.ndarray:
-        """Population target: the ridge shrinkage point, else theta0."""
-        return population_target(self.gen, self.model)
+        """Population target, computed once at construction and read-only: the ridge
+        shrinkage point, else theta0."""
+        return self._target
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +115,36 @@ def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
     return report.theta_hat
 
 
+def _gather(d: Dataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The shards' (m, n, p) designs and (m, n) responses, written into this thread's stacks.
+
+    The stacks live as long as the thread and are reused while the shape
+    holds, so a replication allocates no N(p + 1) floats of its own: freshly
+    allocated, those lift glibc's heap over its trim threshold, and every
+    replication gave them back to the kernel and faulted them in again.  A
+    new shape replaces them.  The caller must not keep them past its fit.
+    """
+    shape = (*rows.shape, d.p)
+    if getattr(_stacks, "X", None) is None or _stacks.X.shape != shape:
+        _stacks.X = _stacks.y = None  # free the old stacks before the new ones are made
+        _stacks.X, _stacks.y = np.empty(shape), np.empty(rows.shape)
+    # rows is a permutation, so "clip" never clips; with out=, the default
+    # mode="raise" would gather into a temporary copy first
+    np.take(d.X, rows, axis=0, out=_stacks.X, mode="clip")
+    np.take(d.y, rows, out=_stacks.y, mode="clip")
+    return _stacks.X, _stacks.y
+
+
 def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int) -> np.ndarray:
     """The (m, p) shard estimates, all shards fitted in one stacked call.
 
-    The shards are gathered into one (m, n, p) stack from the rows of
-    ``split_rows``, so each equals its ``split_uniform`` shard bitwise.  A
+    The shards are gathered into this thread's (m, n, p) stack from the rows
+    of ``split_rows``, so each equals its ``split_uniform`` shard bitwise.  A
     failed fit raises ``MachineFitError`` for the lowest shard whose fit
     raised or did not converge, the shard a one-by-one loop would stop at.
     """
     model = cfg.model
-    rows = split_rows(d.n, cfg.m, split_seed)
-    X, y = np.take(d.X, rows, axis=0), np.take(d.y, rows)
+    X, y = _gather(d, split_rows(d.n, cfg.m, split_seed))
     try:
         if model.is_closed_form:
             return fit_closed_stacked(X, y, model.penalty)
@@ -161,7 +188,13 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
-    """All replications, optionally on a thread pool; results ordered by rep."""
+    """All replications, optionally on a thread pool; results ordered by rep.
+
+    Each thread that runs replications gathers their shards into stacks of
+    its own, N(p + 1) floats (3.4 MB at p = 20, N = 20000), and keeps them
+    for the next replication of the same (m, n, p).  The calling thread keeps
+    its stacks after the run; the pool threads' go when the pool ends.
+    """
     reps = range(cfg.replications)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

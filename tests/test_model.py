@@ -180,6 +180,34 @@ def test_sigma_is_the_matrix_checked_at_construction(monkeypatch, spec):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_config_keeps_a_read_only_copy_of_theta0():
+    theta0 = np.array([1.0, -2.0, 0.5])
+    cfg = _cfg(theta0=theta0)
+    before = sample_dataset(cfg, 50, seed=3)
+    theta0[1] = 7.0  # the caller's array, edited after construction
+    assert cfg.theta0.tolist() == [1.0, -2.0, 0.5]
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.theta0[1] = 7.0
+    after = sample_dataset(cfg, 50, seed=3)
+    assert after.y.tobytes() == before.y.tobytes()
+
+
+@pytest.mark.parametrize("spec", [np.array([1.0, 2.0, 0.5]),
+                                  np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]])],
+                         ids=["diagonal", "dense"])
+def test_config_keeps_a_read_only_copy_of_sigma(spec):
+    cfg = _cfg(sigma=spec)
+    want, before = spec.copy(), sample_dataset(cfg, 50, seed=3)
+    spec *= 4.0  # the caller's array, edited after construction
+    assert cfg.sigma_spec.tobytes() == want.tobytes()
+    assert cfg.sigma.tobytes() == model.sigma_as_matrix(want, 3).tobytes()
+    for arr in (cfg.sigma_spec, cfg.sigma):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 9.0
+    after = sample_dataset(cfg, 50, seed=3)
+    assert after.X.tobytes() == before.X.tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 40])
 @pytest.mark.parametrize("sigma", [np.array([0.5, 1.0, 2.0]),
                                    np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splitavg.parallel as parallel
 from splitavg import (
     ConfigError,
     ExperimentConfig,
@@ -16,6 +17,7 @@ from splitavg import (
     ReplicationResult,
     SplitAvgError,
     average_estimate,
+    population_target,
     run_experiment,
     run_replication,
     summarize,
@@ -85,6 +87,20 @@ def test_ridge_replication_uses_shrunk_target():
     target = cfg.gen.theta0 / 2.0  # identity covariance, lam = 1
     assert np.linalg.norm(res.theta_bar - target) < 0.15
     assert np.allclose(res.per_coordinate_bias_sample, res.theta_bar - target)
+
+
+@pytest.mark.parametrize("model", ["ols", "ridge"])
+def test_theta_star_is_computed_once_and_read_only(monkeypatch, model):
+    cfg = _cfg(model=model, penalty=1.0)
+    want = population_target(cfg.gen, cfg.model)
+    monkeypatch.setattr(parallel, "population_target", None)  # no call after construction
+    res = run_replication(cfg, 0)
+    assert cfg.theta_star() is cfg.theta_star()
+    assert cfg.theta_star().tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.theta_star()[1] = -5.0
+    assert cfg.gen.theta0[1] != -5.0
+    assert res.per_coordinate_bias_sample.tobytes() == (res.theta_bar - want).tobytes()
 
 
 def test_ols_ratio_near_one_with_many_samples_per_parameter():
