@@ -3,9 +3,10 @@
 These are deliberately independent of the closed forms they check.  The
 Wishart expressions are evaluated from raw Gaussian draws (each S_i is the
 rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
-coefficients of an estimator purely from simulation.  ``wishart_check`` draws
-on one worker thread, a block at a time, while the calling thread sums the
-previous block.  For OLS and ridge under Gaussian noise the moment fit draws
+coefficients of an estimator purely from simulation.  ``wishart_check`` gives
+each of its two streams one thread: a worker draws x1 a block ahead while the
+calling thread draws the block's x2, if the identity reads x2, and sums the
+block.  For OLS and ridge under Gaussian noise the moment fit draws
 each replication's exact (X'X, X'y) from Bartlett factors
 (``model._gram_draw``) instead of an n x p design: the same law, sampled
 without any of the expansions it checks.
@@ -36,6 +37,7 @@ SECOND_KIND_IDS = (
     "E_SS22BS",
 )
 ALL_IDENTITY_IDS = FIRST_KIND_IDS + SECOND_KIND_IDS
+X1_ONLY_IDS = ("E_S", "E_SBS", "E_S2BS")  # expressions of S_1 alone: no x2 is drawn
 _CHUNK = 5e5  # elements of one draw array per pass of the moment fit: bounds its memory
 _BLOCK = 2 ** 15  # elements of one block of wishart_check's x1 (256 kB): its unit of work
 
@@ -99,8 +101,11 @@ def wishart_closed_form(w: WishartIdentity) -> np.ndarray:
     return (4.0 + 2.0 * p) * B + (2.0 + p) * tr_b * eye  # E_SS22BS
 
 
-def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
-    """Per-draw factors (w, u, v) of the expression w_r u_r v_r', using S_i = x_i x_i'."""
+def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2):
+    """Per-draw factors (w, u, v) of the expression w_r u_r v_r', using S_i = x_i x_i'.
+
+    x2 is not read for an identity in ``X1_ONLY_IDS`` and may be None there.
+    """
     B = w.B
     if w.id == "E_S":
         return np.ones(len(x1)), x1, x1
@@ -108,6 +113,10 @@ def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
     if w.id == "E_SBS":
         q = np.einsum("ri,ri->r", bx1, x1)  # x1' B x1
         return q, x1, x1
+    if w.id == "E_S2BS":
+        q = np.einsum("ri,ri->r", bx1, x1)
+        n1 = np.einsum("ri,ri->r", x1, x1)
+        return n1 * q, x1, x1
     dot12 = np.einsum("ri,ri->r", x1, x2)
     bx12 = np.einsum("ri,ri->r", bx1, x2)  # x1' B x2
     if w.id == "E_SBS2BS":
@@ -119,10 +128,6 @@ def _mc_terms(w: WishartIdentity, x1: np.ndarray, x2: np.ndarray):
     if w.id == "E_SS2BS2S":
         q = np.einsum("ri,ri->r", x2 @ B, x2)  # x2' B x2
         return dot12 ** 2 * q, x1, x1
-    if w.id == "E_S2BS":
-        q = np.einsum("ri,ri->r", bx1, x1)
-        n1 = np.einsum("ri,ri->r", x1, x1)
-        return n1 * q, x1, x1
     # E_SS22BS
     n2 = np.einsum("ri,ri->r", x2, x2)
     return dot12 * n2 * bx12, x1, x1
@@ -142,11 +147,13 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
 
     x1 is the stream of one child generator of ``seed`` and x2 that of the
     other, drawn in blocks of ``_BLOCK`` elements of x1, so the normals
-    depend on (reps, seed) alone.  One worker thread draws block k + 1 while
-    the calling thread sums block k: numpy releases the interpreter lock
-    while it fills normals and inside ufunc and BLAS calls, so on two cores
-    the two run at once.  At small p a block's products stay too small for
-    BLAS to spread over threads that would compete with the worker.
+    depend on (reps, seed) alone.  Each generator has one thread: a worker
+    draws block k + 1 of x1 while the calling thread draws block k of x2 and
+    sums block k, so at most three blocks are alive at once.  An identity in
+    ``X1_ONLY_IDS`` draws no x2.  numpy releases the interpreter lock while
+    it fills normals and inside ufunc and BLAS calls, so on two cores the
+    two threads run at once.  At small p a block's products stay too small
+    for BLAS to spread over threads that would compete with the worker.
     """
     if reps < 10_000:
         raise ConfigError("reps must be >= 1e4 for a meaningful z-test")
@@ -155,18 +162,19 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
     total = np.zeros((p, p))
     total_sq = np.zeros((p, p))
     rows = max(1, int(_BLOCK / p))  # a draw is a row of p elements
+    reads_x2 = w.id not in X1_ONLY_IDS
 
-    def draws():  # advanced only on the worker, so one thread uses the generators
+    def x1_blocks():  # advanced only on the worker, the one thread that uses rng1
         for done in range(0, reps, rows):
-            shape = (min(rows, reps - done), p)
-            yield _gaussian(shape, w._chol, rng1), _gaussian(shape, w._chol, rng2)
+            yield _gaussian((min(rows, reps - done), p), w._chol, rng1)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        blocks = draws()
+        blocks = x1_blocks()
         pending = pool.submit(next, blocks, None)
-        while (block := pending.result()) is not None:
+        while (x1 := pending.result()) is not None:
             pending = pool.submit(next, blocks, None)
-            wt, u, v = _mc_terms(w, *block)
+            x2 = _gaussian(x1.shape, w._chol, rng2) if reads_x2 else None
+            wt, u, v = _mc_terms(w, x1, x2)
             total += (u * wt[:, None]).T @ v
             total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
     mean = total / reps

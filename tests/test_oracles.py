@@ -102,33 +102,62 @@ def _serial_check(w, reps, seed):
     return (x1, x2), mean, float(np.max(np.abs(mean - wishart_closed_form(w)) / se))
 
 
+def _stream(rng):
+    """0 for wishart_check's x1 generator, 1 for its x2 generator."""
+    return rng.bit_generator.seed_seq.spawn_key[-1]
+
+
 def _recorded_check(monkeypatch, w, reps, seed):
-    """wishart_check's result and its x1 and x2, each concatenated over the blocks."""
-    draws, gaussian = [], model_module._gaussian
-    monkeypatch.setattr(oracles, "_gaussian",
-                        lambda *a: draws.append(gaussian(*a)) or draws[-1])
+    """wishart_check's result and its x1 and x2, each concatenated over the blocks.
+
+    A stream that was never drawn comes back as an empty (0, p) array.
+    """
+    draws, gaussian = ([], []), model_module._gaussian
+    monkeypatch.setattr(oracles, "_gaussian", lambda shape, chol, rng: draws[_stream(rng)].append(
+        gaussian(shape, chol, rng)) or draws[_stream(rng)][-1])
     res = wishart_check(w, reps=reps, seed=seed)
-    return res, (np.concatenate(draws[0::2]), np.concatenate(draws[1::2]))
+    return res, tuple(np.concatenate(d) if d else np.empty((0, w.p)) for d in draws)
 
 
 DENSE_SIGMA = np.array([[2.0, 0.4, 0.0], [0.4, 1.0, 0.2], [0.0, 0.2, 1.5]])
 
 
-@pytest.mark.parametrize("sigma", [np.eye(3), DENSE_SIGMA], ids=["identity", "dense"])
-def test_wishart_check_equals_a_serial_loop(monkeypatch, sigma):
+# E_S2BS holds only for Sigma = I, so the dense x1-only case is E_SBS
+@pytest.mark.parametrize("ident,sigma", [("E_SBS2BS", np.eye(3)), ("E_SBS2BS", DENSE_SIGMA),
+                                         ("E_S2BS", np.eye(3)), ("E_SBS", DENSE_SIGMA)],
+                         ids=["identity", "dense", "E_S2BS-identity", "E_SBS-dense"])
+def test_wishart_check_equals_a_serial_loop(monkeypatch, ident, sigma):
     # blocks of 3334 draws, three of them and 17 more
     monkeypatch.setattr(oracles, "_BLOCK", 3 * 3_334)
-    w = WishartIdentity("E_SBS2BS", sigma, np.diag([1.0, -0.5, 2.0]))
+    w = WishartIdentity(ident, sigma, np.diag([1.0, -0.5, 2.0]))
     reps = 3 * 3_334 + 17
     res, draws = _recorded_check(monkeypatch, w, reps, 12)
     want, mean, max_z = _serial_check(w, reps, 12)
+    if ident in oracles.X1_ONLY_IDS:  # the serial loop's x2 never enters its sums
+        assert draws[1].size == 0
+        draws, want = draws[:1], want[:1]
     if w._chol is None:  # the same normals in the same sums: bitwise
         assert all(a.tobytes() == b.tobytes() for a, b in zip(draws, want))
         assert res.mc_estimate.tobytes() == mean.tobytes()
         assert res.max_abs_z == max_z
-    else:  # the worker applies the factor to each block: equal to rounding
+    else:  # the factor is applied to each block: equal to rounding
         np.testing.assert_allclose(res.mc_estimate, mean, rtol=1e-12)
         assert res.max_abs_z == pytest.approx(max_z, rel=1e-12)
+
+
+@pytest.mark.parametrize("ident", ALL_IDENTITY_IDS)
+def test_only_the_x1_only_identities_ignore_x2(ident):
+    rng = np.random.default_rng(4)
+    w = WishartIdentity(ident, np.eye(3), np.diag([1.0, -0.5, 2.0]))
+    x1, x2 = rng.standard_normal((2, 50, 3))
+    got = oracles._mc_terms(w, x1, x2)
+    blind = oracles._mc_terms(w, x1, np.full_like(x2, np.nan))
+    if ident in oracles.X1_ONLY_IDS:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, blind))
+        none = oracles._mc_terms(w, x1, None)  # as wishart_check calls it: x2 is not read
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, none))
+    else:
+        assert not all(np.isfinite(f).all() for f in blind)
 
 
 @pytest.mark.parametrize("sigma", [np.eye(3), DENSE_SIGMA], ids=["identity", "dense"])
@@ -147,16 +176,18 @@ def test_wishart_check_does_not_depend_on_the_block_size(monkeypatch, sigma):
             assert all(a.tobytes() == b.tobytes() for a, b in zip(draws, first_draws))
 
 
-def test_wishart_check_draws_on_one_worker_in_blocks(monkeypatch):
-    # at most two blocks are alive at once, so one draw array holds one block
+def test_wishart_check_draws_x1_on_one_worker_and_x2_on_the_caller(monkeypatch):
+    # each generator has one thread, and one draw array holds one block
     calls, gaussian = [], oracles._gaussian
-    monkeypatch.setattr(oracles, "_gaussian", lambda shape, *a: calls.append(
-        (shape, threading.get_ident())) or gaussian(shape, *a))
+    monkeypatch.setattr(oracles, "_gaussian", lambda shape, chol, rng: calls.append(
+        (shape, _stream(rng), threading.get_ident())) or gaussian(shape, chol, rng))
     wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
-    assert max(np.prod(shape) for shape, _ in calls) <= oracles._BLOCK
-    assert sum(shape[0] for shape, _ in calls) == 2 * 10 ** 6
-    drawers = {ident for _, ident in calls}
-    assert len(drawers) == 1 and threading.get_ident() not in drawers
+    assert max(np.prod(shape) for shape, _, _ in calls) <= oracles._BLOCK
+    for stream in (0, 1):
+        assert sum(shape[0] for shape, s, _ in calls if s == stream) == 10 ** 6
+    x1_drawers = {ident for _, s, ident in calls if s == 0}
+    assert len(x1_drawers) == 1 and threading.get_ident() not in x1_drawers
+    assert {ident for _, s, ident in calls if s == 1} == {threading.get_ident()}
 
 
 def test_wishart_check_sums_in_blocks_on_the_calling_thread(monkeypatch):
@@ -170,21 +201,38 @@ def test_wishart_check_sums_in_blocks_on_the_calling_thread(monkeypatch):
     assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
-def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):
-    calls, gaussian = [], oracles._gaussian
+def _failing_draw(monkeypatch, fail_stream, fail_block):
+    """Make the draw of block ``fail_block`` (from 0) of one stream raise; count draws."""
+    counts, gaussian = [0, 0], oracles._gaussian
 
-    def draw(shape, *a):
-        calls.append(shape)
-        if len(calls) == 5:  # block 3's x1
+    def draw(shape, chol, rng):
+        stream = _stream(rng)
+        counts[stream] += 1
+        if stream == fail_stream and counts[stream] == fail_block + 1:
             raise MemoryError("draw failed")
-        return gaussian(shape, *a)
+        return gaussian(shape, chol, rng)
 
     monkeypatch.setattr(oracles, "_gaussian", draw)
+    return counts
+
+
+def test_a_failed_draw_propagates_and_leaves_no_thread(monkeypatch):
+    counts = _failing_draw(monkeypatch, fail_stream=0, fail_block=2)  # block 2's x1
     before = set(threading.enumerate())
     with pytest.raises(MemoryError, match="draw failed"):
-        wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+        wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
     assert set(threading.enumerate()) == before
-    assert len(calls) == 5  # no draw follows the failed one
+    assert counts == [3, 2]  # no x1 draw follows the failed one, no x2 for its block
+
+
+def test_a_failed_x2_draw_on_the_calling_thread_propagates(monkeypatch):
+    counts = _failing_draw(monkeypatch, fail_stream=1, fail_block=2)  # block 2's x2
+    before = set(threading.enumerate())
+    with pytest.raises(MemoryError, match="draw failed"):
+        wishart_check(WishartIdentity("E_SS22BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert set(threading.enumerate()) == before
+    assert counts[1] == 3
+    assert counts[0] <= 4  # the worker drew at most one x1 block past the failed block
 
 
 def test_mc_moment_fit_ols_bias_is_zero():
@@ -305,6 +353,11 @@ def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
                         lambda cfg, c, n, rng: grams.append((c, n, cfg.p)) or gram(cfg, c, n, rng))
 
     wishart_check(WishartIdentity("E_SBS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
+    assert max(np.prod(shape) for shape in draws) <= oracles._CHUNK
+    assert sum(rows for rows, _ in draws) == 10 ** 6  # E_SBS reads no x2
+
+    draws.clear()
+    wishart_check(WishartIdentity("E_SS2BS", np.eye(5), np.eye(5)), reps=10 ** 6, seed=0)
     assert max(np.prod(shape) for shape in draws) <= oracles._CHUNK
     assert sum(rows for rows, _ in draws) == 2 * 10 ** 6  # x1 and x2 for every draw
 
