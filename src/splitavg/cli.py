@@ -244,7 +244,9 @@ def _run_plan(args) -> int:
     if args.regime == "fixed-p":
         if args.loss != "squared":
             raise UsageError(f"the fixed-p regime plans squared loss, not --loss {args.loss}")
-        regime = FixedPRegime(_gammas_for(args))
+        # moments that overflow to inf are reported by choose_m as a non-finite error
+        with np.errstate(over="ignore", invalid="ignore"):
+            regime = FixedPRegime(_gammas_for(args))
     else:
         if args.model != "ols":
             raise UsageError(f"the high-dim regime plans ols, not --model {args.model}")

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import ConfigError, InfeasiblePlanError
+from .errors import ConfigError, InfeasiblePlanError, NumericalError, SolverFailureError
 from .fixed_p import GammaSet, m2_parallel
 from .highdim import QuadratureSpec, solve_rc
 from .losses import LossSpec
@@ -86,13 +85,19 @@ def predicted_error(prob: PlannerProblem, m: float) -> float:
         raise InfeasiblePlanError(f"m = {m} leaves less than one sample per machine")
     reg = prob.regime
     if isinstance(reg, FixedPRegime):
-        return float(np.trace(m2_parallel(reg.gammas, n_eff, m)))
-    kappa = reg.p / n_eff
-    if kappa >= 1:
-        raise InfeasiblePlanError(
-            f"m = {m} puts p/n = {kappa:.3f} outside the (0, 1) regime")
-    sol = solve_rc(reg.loss, reg.noise, kappa, reg.quadrature)
-    return sol.r_squared * reg.tr_sigma_inv / (m * reg.p)
+        # moments near the float limit overflow here; the check below reports that
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = float(np.trace(m2_parallel(reg.gammas, n_eff, m)))
+    else:
+        kappa = reg.p / n_eff
+        if kappa >= 1:
+            raise InfeasiblePlanError(
+                f"m = {m} puts p/n = {kappa:.3f} outside the (0, 1) regime")
+        sol = solve_rc(reg.loss, reg.noise, kappa, reg.quadrature)
+        error = sol.r_squared * reg.tr_sigma_inv / (m * reg.p)
+    if not math.isfinite(error):
+        raise NumericalError(f"the predicted error at m = {m} is {error}")
+    return error
 
 
 def _max_feasible_m(prob: PlannerProblem) -> float:
@@ -103,6 +108,69 @@ def _max_feasible_m(prob: PlannerProblem) -> float:
         # keep kappa comfortably inside the solver's range
         return max(1.0, 0.99 * prob.size / prob.regime.p)
     return float(prob.size)
+
+
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method
+    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (scipy's ``Zeros/brentq.c``): the
+    same float operations in the same order, so it calls f at the same points and
+    returns the same root, bit for bit.  Importing scipy.optimize for this one
+    function would load some 200 modules into every process that imports splitavg.
+    Returns once half the bracket is below (xtol + rtol |x|) / 2.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalError(f"the function value at x = {x} is NaN")
+        return fx
+
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConfigError(f"f({xpre}) = {fpre} and f({xcur}) = {fcur} have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # C's inf or nan, which fails the test below
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverFailureError(f"Brent's method did not converge in {maxiter} iterations; "
+                             f"last x = {xcur}")
 
 
 def choose_m(prob: PlannerProblem) -> PlannerResult:
@@ -117,8 +185,8 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
     probed: dict[float, float] = {}
 
     def error(m: float) -> float:
-        # Each machine count is predicted at most once per call; brentq
-        # re-evaluates its bracket ends and the answer is often a probe.
+        # Each machine count is predicted at most once per call; _brentq
+        # evaluates its bracket ends again and the answer is often a probe.
         if m not in probed:
             probed[m] = predicted_error(prob, m)
         return probed[m]
@@ -143,6 +211,6 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
             raise InfeasiblePlanError("error bound unreachable at any m", error_at_one=e1)
         m = int(math.floor(hi))
         return PlannerResult(m, error(m), False)
-    m_star = brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
+    m_star = _brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
     m = max(1, math.floor(m_star + 0.5))
     return PlannerResult(m, error(m), True)

@@ -289,6 +289,28 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     assert "failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plan_fixed_N_with_a_non_finite_prediction_exits_two(tmp_path, capsys):
+    # sigma^4 overflows: the second-order sum is inf - inf, once written out as m = 1e6
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "100", "--sigma2", "1e308",
+                 "--constraint", "relative", "--rel-eps", "0.1", "--out", str(out)])
+    assert code == 2
+    assert "numerical failure: the predicted error at m = 1.0 is nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_plan_fixed_n_with_a_non_finite_prediction_exits_two(tmp_path, capsys):
+    # the same overflow once ended in the root finder's NaN traceback
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-n", "--n", "1e4", "--p", "100", "--sigma2", "1e308",
+                 "--total-eps", "1e300", "--out", str(out)])
+    assert code == 2
+    assert "numerical failure: the predicted error at m = 1.0 is nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bias_mse_theory_uses_laplace_variance(tmp_path):
     # Laplace(b = 2) has variance 2 b^2 = 8: the theory column must equal the
     # one for gaussian noise of variance 8, whatever --sigma2 says

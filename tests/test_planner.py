@@ -1,5 +1,7 @@
 """Machine-count planning: worked reference numbers and boundary properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,15 @@ from splitavg import (
     InfeasiblePlanError,
     LossSpec,
     NoiseDist,
+    NumericalError,
     PlannerProblem,
+    SolverFailureError,
     choose_m,
     ols_gammas,
     predicted_error,
     ridge_gammas,
 )
+from splitavg.planner import _brentq
 
 
 # indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
@@ -232,3 +237,77 @@ def test_high_dim_plan_inverts_sigma_only_at_construction(monkeypatch):
     result = choose_m(PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime))
     assert result.m > 1
     assert inverses == []
+
+
+def _shapes(rng):
+    """Five function shapes with a root r: smooth, steep, flat-then-steep, far from
+    unit scale (products of two values under- or overflow) and a staircase (equal
+    values make the extrapolation divide by zero)."""
+    r, c = rng.uniform(-5, 5), rng.uniform(-2, 2)
+    k, s = 10 ** rng.uniform(-2, 3), 10.0 ** int(rng.integers(-250, 250))
+    return [lambda x: (x - r) ** 3 + c * (x - r),
+            lambda x: math.exp(min(x, 700.0)) - math.exp(r),
+            lambda x: math.atan(k * (x - r)),
+            lambda x: s * (x - r) * (1 + (x - r) ** 2),
+            lambda x: math.floor(4 * (x - r)) + 0.5], r
+
+
+def _solve(solver, f, a, b, xtol, rtol):
+    calls = []
+
+    def recorded(x):
+        calls.append(x)
+        return f(x)
+
+    try:
+        return solver(recorded, a, b, xtol=xtol, rtol=rtol).hex(), calls
+    except ValueError:  # no sign change: scipy's ValueError, the port's ConfigError
+        return "no sign change", calls
+
+
+# choose_m's tolerances, scipy's defaults (its least rtol) and a coarse xtol
+@pytest.mark.parametrize("xtol,rtol", [(1e-9, 1e-14), (2e-12, 4 * np.finfo(float).eps),
+                                       (1e-3, 4 * np.finfo(float).eps)])
+def test_brentq_port_probes_and_returns_what_scipy_does(xtol, rtol):
+    rng = np.random.default_rng(23)
+    cases = 0
+    for _ in range(60):
+        shapes, r = _shapes(rng)
+        for f in shapes:
+            a, b = r - 10 ** rng.uniform(-3, 1.3), r + 10 ** rng.uniform(-3, 1.3)
+            if rng.random() < 0.5:
+                a, b = b, a
+            want, want_calls = _solve(brentq, f, a, b, xtol, rtol)
+            got, got_calls = _solve(_brentq, f, a, b, xtol, rtol)
+            assert got == want
+            assert [x.hex() for x in got_calls] == [x.hex() for x in want_calls]
+            cases += want != "no sign change"
+    assert cases > 250
+
+
+def test_brentq_port_failures_raise_package_errors():
+    with pytest.raises(ConfigError, match="same sign"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9, 1e-14)
+    # signs, not products: 1e-200 * 1e-200 underflows to 0 but the signs agree
+    with pytest.raises(ConfigError, match="same sign"):
+        _brentq(lambda x: 1e-200, 0.0, 1.0, 1e-9, 1e-14)
+    with pytest.raises(NumericalError, match="NaN"):
+        _brentq(lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, 1e-9, 1e-14)
+    calls = []
+    with pytest.raises(SolverFailureError, match="did not converge in 3 iterations") as info:
+        _brentq(lambda x: calls.append(x) or math.atan(50.0 * (x - 0.3)), -3.0, 7.0,
+                1e-9, 1e-14, maxiter=3)
+    assert isinstance(info.value, RuntimeError)
+    assert len(calls) == 5  # two bracket ends and one probe per iteration
+
+
+@pytest.mark.parametrize("model", ["ols", "ridge"])
+def test_non_finite_prediction_is_a_numerical_error(model):
+    # sigma^4 overflows: the second-order sum becomes inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        gammas = (ols_gammas(None, 1e308, 100) if model == "ols"
+                  else ridge_gammas(np.ones(100), 1e308, 0.5))
+    prob = PlannerProblem("fixed_N", 10 ** 6, "relative", 0.1, FixedPRegime(gammas))
+    with np.errstate(all="raise"):  # and numpy warns of nothing on the way
+        with pytest.raises(NumericalError, match="predicted error at m = 1.0 is nan"):
+            choose_m(prob)

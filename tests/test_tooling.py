@@ -1,13 +1,16 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
-parse, README names resolve."""
+parse, README names resolve, importing the package leaves scipy's heavy subpackages out."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,14 @@ def test_every_exported_function_is_called_outside_its_module():
                 callers[name].add(path.resolve())
     uncalled = sorted(name for name, paths in callers.items() if not paths - {functions[name]})
     assert not uncalled, f"exported but never called outside their module: {uncalled}"
+
+
+def test_importing_the_package_loads_no_scipy_optimize_or_integrate():
+    # scipy.optimize alone is ~200 modules and ~17 MB in every process that imports
+    # splitavg; scipy.integrate, which highdim reads only on its reference path, imports it
+    code = ("import sys, splitavg, splitavg.cli; print(' '.join(sorted(name for name in "
+            "sys.modules if name.startswith(('scipy.optimize', 'scipy.integrate')))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == []
