@@ -69,14 +69,22 @@ def fit_coefficient(ns, values, lead, order=2):
     return np.linalg.lstsq(basis, y, rcond=None)[0][0]
 
 
+P1_CASES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]  # (sigma2, theta0)
+
+
+def fit_p1(sigma2, theta0, ns=(400, 800, 1600, 3200)):
+    """Implemented moments and the delta, second-order sum fitted to the exact p = 1 laws."""
+    gam = ridge_gammas(np.array([theta0]), sigma2, LAM)
+    biases, mses = zip(*(exact_p1_moments(n, sigma2, theta0) for n in ns))
+    delta_hat = fit_coefficient(ns, biases, 0.0, order=1)
+    sum_hat = fit_coefficient(ns, mses, gam.gamma1[0, 0], order=2)
+    return gam, delta_hat, sum_hat
+
+
 def run_p1():
     print("== p = 1, penalty = 1: exact quadrature ==")
-    ns = [400, 800, 1600, 3200]
-    for sigma2, theta0 in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]:
-        gam = ridge_gammas(np.array([theta0]), sigma2, LAM)
-        biases, mses = zip(*(exact_p1_moments(n, sigma2, theta0) for n in ns))
-        delta_hat = fit_coefficient(ns, biases, 0.0, order=1)
-        sum_hat = fit_coefficient(ns, mses, gam.gamma1[0, 0], order=2)
+    for sigma2, theta0 in P1_CASES:
+        gam, delta_hat, sum_hat = fit_p1(sigma2, theta0)
         row = (f"sigma2={sigma2} theta0={theta0}: "
                f"delta {delta_hat:+.6f} (implemented {gam.delta[0]:+.6f})  "
                f"sum {sum_hat:+.6f} (implemented {gam.second_order_sum()[0, 0]:+.6f}")

@@ -165,16 +165,21 @@ def _gammas_for(args):
 
 
 def _run_bias_mse(args) -> int:
-    gam = _gammas_for(args)
+    # the theory first: moments that overflow are reported before any simulation
+    with np.errstate(over="ignore", invalid="ignore"):
+        gam = _gammas_for(args)
+        theory = {m: (bias2(gam, args.N // m, m), np.trace(m2_parallel(gam, args.N // m, m)))
+                  for m in args.m_grid}
+    for m, (theory_bias, mse_theory) in theory.items():
+        if not np.isfinite([*theory_bias, mse_theory]).all():
+            raise NumericalError(f"the theoretical bias or MSE at m = {m} is not finite")
     rows = []
     for m in args.m_grid:
         s = _summary(args, args.p, args.N, m)
-        n = args.N // m
-        theory_bias = bias2(gam, n, m)
-        mse_theory = float(np.trace(m2_parallel(gam, n, m)))
+        theory_bias, mse_theory = theory[m]
         for coord in range(args.p):
             rows.append((m, args.p, coord, s.mean_bias[coord], theory_bias[coord],
-                         s.mse_bar, mse_theory))
+                         s.mse_bar, float(mse_theory)))
     _write_csv(args,
                ["m", "p", "coord", "mean_bias", "theory_bias", "mse_emp", "mse_theory"],
                rows)

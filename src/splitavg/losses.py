@@ -70,12 +70,8 @@ class LossSpec:
 
 
 def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # 1/(1 + e^-t) for t >= 0, e^t/(1 + e^t) below: never overflows
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def derivative_array(spec: LossSpec, t: np.ndarray, order: int) -> np.ndarray:

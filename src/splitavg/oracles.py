@@ -140,6 +140,13 @@ class WishartCheckResult:
     max_abs_z: float
 
 
+def _mean_se(total, total_sq, reps):
+    """Mean and ddof-1 standard error of ``reps`` draws from their sum and sum of squares."""
+    mean = total / reps
+    var = (total_sq / reps - mean * mean) * reps / (reps - 1)
+    return mean, np.sqrt(np.maximum(var, 0.0) / reps)
+
+
 def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResult:
     """Compare the MC average of the identity's expression with its closed form.
 
@@ -177,9 +184,7 @@ def wishart_check(w: WishartIdentity, reps: int, seed: int) -> WishartCheckResul
             wt, u, v = _mc_terms(w, x1, x2)
             total += (u * wt[:, None]).T @ v
             total_sq += (u * u * (wt * wt)[:, None]).T @ (v * v)
-    mean = total / reps
-    var = (total_sq / reps - mean * mean) * reps / (reps - 1)
-    se = np.sqrt(np.maximum(var, 0.0) / reps)
+    mean, se = _mean_se(total, total_sq, reps)
     closed = wishart_closed_form(w)
     diff = np.abs(mean - closed)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,29 +263,6 @@ def _errors(cfg, model, n, reps, rng):
     return np.concatenate(fits) - target
 
 
-def _outer_moments(errs):
-    """Mean and ddof-1 standard deviation over the rows r of errs_r errs_r'.
-
-    The products are formed a pass of at most ``_CHUNK`` elements at a time,
-    twice: for their sum, then for their squared deviations.  The running
-    total is row 0 of each later pass, so a sum is one sequential axis-0
-    reduction and, for p >= 2, equals numpy's ``mean``/``std`` over all rows
-    at once bitwise (numpy sums a lone column pairwise).
-    """
-    reps, p = errs.shape
-    rows = max(1, int(_CHUNK / p ** 2) - 1)  # p^2 products a row, plus the running total
-
-    def total(term):
-        acc = None
-        for i in range(0, reps, rows):
-            blk = term(np.einsum("ri,rj->rij", errs[i:i + rows], errs[i:i + rows]))
-            acc = blk.sum(0) if acc is None else np.concatenate([acc[None], blk]).sum(0)
-        return acc
-
-    mean = total(lambda prods: prods) / reps
-    return mean, np.sqrt(total(lambda prods: (prods - mean) ** 2) / (reps - 1))
-
-
 def _fit_entries(n_grid, by_n, se_by_n):
     """Weighted LS fits of values(n) = a/n + b/n^2 with known standard errors.
 
@@ -340,8 +322,8 @@ def mc_moment_fit(
         errs = _errors(cfg, model, n, reps, rng)
         bias_by_n[n] = errs.mean(axis=0)
         bias_se_by_n[n] = errs.std(axis=0, ddof=1) / np.sqrt(reps)
-        mse_by_n[n], std = _outer_moments(errs)
-        mse_se_by_n[n] = std / np.sqrt(reps)
+        sq = errs * errs
+        mse_by_n[n], mse_se_by_n[n] = _mean_se(errs.T @ errs, sq.T @ sq, reps)
 
     bias, bias_se, resid_bias, cond_bias = _fit_entries(n_grid, bias_by_n, bias_se_by_n)
     mse, mse_se, resid_mse, cond_mse = _fit_entries(n_grid, mse_by_n, mse_se_by_n)

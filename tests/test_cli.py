@@ -311,6 +311,20 @@ def test_plan_fixed_n_with_a_non_finite_prediction_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [["--model", "ols"], ["--model", "ridge", "--penalty", "0.1"]],
+                         ids=["ols", "ridge"])
+def test_bias_mse_with_a_non_finite_theory_exits_two(tmp_path, capsys, model):
+    # sigma2 (1 + p) overflows in gamma2 and gamma3: the sum is -inf + inf, once written as nan
+    out = tmp_path / "x.csv"
+    code = main(["bias-mse", *model, "--p", "2", "--N", "20", "--m-grid", "2", "--reps", "2",
+                 "--sigma2", "1e308", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    assert "numerical failure: the theoretical bias or MSE at m = 2 is not finite" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bias_mse_theory_uses_laplace_variance(tmp_path):
     # Laplace(b = 2) has variance 2 b^2 = 8: the theory column must equal the
     # one for gaussian noise of variance 8, whatever --sigma2 says

@@ -192,3 +192,19 @@ def test_spec_validation():
         ModelSpec.ridge(-0.1)
     assert LossSpec.absolute().smooth_order == 1
     assert LossSpec.logistic().smooth_order == 4
+
+
+def test_sigmoid_is_the_two_branch_formula_bitwise():
+    # reference: 1/(1 + e^-t) on t >= 0 and e^t/(1 + e^t) elsewhere (NaN included)
+    edges = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+    t = np.concatenate([edges, 30.0 * np.random.default_rng(5).standard_normal(100_000)])
+    want = np.empty_like(t)
+    pos = t >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    want[~pos] = e / (1.0 + e)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = losses._sigmoid(t)
+    nan = np.isnan(want)  # a NaN is a NaN: its sign bit carries nothing
+    assert got.dtype == want.dtype and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))

@@ -235,6 +235,36 @@ def test_a_failed_x2_draw_on_the_calling_thread_propagates(monkeypatch):
     assert counts[0] <= 4  # the worker drew at most one x1 block past the failed block
 
 
+@pytest.mark.parametrize("reps", [2, 37, 2000])
+@pytest.mark.parametrize("p", [1, 3, 50])
+def test_mean_se_matches_the_two_pass_definition(p, reps):
+    # the rule mc_moment_fit applies to the sums of e e' and of its square
+    errs = np.random.default_rng(100 * p + reps).standard_normal((reps, p)) * np.arange(1, p + 1)
+    sq = errs * errs
+    mean, se = oracles._mean_se(errs.T @ errs, sq.T @ sq, reps)
+    prods = np.einsum("ri,rj->rij", errs, errs)
+    want_mean, want_se = prods.mean(0), prods.std(0, ddof=1) / np.sqrt(reps)
+    assert np.abs(mean - want_mean).max() <= 1e-12 * np.abs(want_mean).max()
+    assert np.abs(se - want_se).max() <= 1e-12 * np.abs(want_se).max()
+
+
+@pytest.mark.parametrize("reps", [2, 37, 2000])
+def test_mean_se_of_constant_draws_is_finite_and_zero(reps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # products and squares of these sum exactly: SE exactly 0
+        errs = np.tile([0.5, -2.0, 3.0, 0.0], (reps, 1))
+        sq = errs * errs
+        mean, se = oracles._mean_se(errs.T @ errs, sq.T @ sq, reps)
+        assert np.array_equal(mean, np.outer(errs[0], errs[0])) and not se.any()
+        # these leave a rounding residue of either sign in the one-pass variance,
+        # which stays finite and at the scale of the rounding
+        errs = np.tile([0.1, 0.3, -0.7, 1 / 3, 0.6], (reps, 1))
+        sq = errs * errs
+        mean, se = oracles._mean_se(errs.T @ errs, sq.T @ sq, reps)
+        assert np.isfinite(se).all() and se.max() <= 1e-7 * np.abs(mean).max()
+
+
 def test_mc_moment_fit_ols_bias_is_zero():
     cfg = GenerativeConfig(p=2, theta0=np.array([1.0, 2.0]),
                            noise=NoiseDist.gaussian(1.0))
@@ -401,15 +431,16 @@ def test_newton_moment_fit_pass_holds_its_designs_once():
 
 
 def test_moment_fit_builds_no_array_over_chunk_elements(monkeypatch):
-    # at p = 50 the outer products of all 2000 errors hold 5e6 elements;
+    # at p = 50 the outer products of all 2000 errors would hold 5e6 elements;
     # every array the oracle gets from numpy and every exact draw stays
     # within _CHUNK
-    sizes = []
+    sizes, calls = [], []
 
     def recorded(fn):
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
             sizes.extend(np.size(x) for x in (out if isinstance(out, tuple) else (out,)))
+            calls.append(fn)
             return out
         return call
 
@@ -422,5 +453,6 @@ def test_moment_fit_builds_no_array_over_chunk_elements(monkeypatch):
     monkeypatch.setattr(oracles, "_gram_draw", recorded(_gram_draw))
     cfg = GenerativeConfig(p=50, theta0=np.full(50, 0.1), noise=NoiseDist.gaussian(1.0))
     mc_moment_fit(cfg, ModelSpec.ridge(1.0), n_grid=[500, 1000, 2000], reps=2000, seed=0)
-    assert len(sizes) > 100
+    # every Bartlett pass was seen: 3 n x 2000 reps / 200 a pass
+    assert calls.count(_gram_draw) == 30
     assert max(sizes) <= oracles._CHUNK

@@ -84,16 +84,17 @@ FROZEN_REPLICATIONS = {
 }
 
 # per-n bias and second-moment arrays and both coefficient pairs; the gaussian
-# entries solve exact (X'X, X'y) draws (model._gram_draw), the laplace ones drawn designs
+# entries solve exact (X'X, X'y) draws (model._gram_draw), the laplace ones drawn designs;
+# the second moments re-pinned when they came to be summed as errs.T @ errs (oracles._mean_se)
 FROZEN_MOMENT_FITS = {
-    ('ols', 'gaussian', 'diagonal'): '60c0d7cd8e1bf262',
-    ('ols', 'gaussian', 'identity'): '76c88e32772d68c9',
-    ('ols', 'laplace', 'diagonal'): 'ccca3e87a39f951c',
-    ('ols', 'laplace', 'identity'): '9d70181d787afd56',
-    ('ridge', 'gaussian', 'diagonal'): '0a8fd8cbe61698fd',
-    ('ridge', 'gaussian', 'identity'): 'fc951e3080e9f234',
-    ('ridge', 'laplace', 'diagonal'): '89aad9570b58728c',
-    ('ridge', 'laplace', 'identity'): '460d56ba5a42e7b0',
+    ('ols', 'gaussian', 'diagonal'): '458e4360c4c24c8a',
+    ('ols', 'gaussian', 'identity'): '48716c03dc516364',
+    ('ols', 'laplace', 'diagonal'): 'f9ca3e20d13dfaee',
+    ('ols', 'laplace', 'identity'): '39058befa03156e8',
+    ('ridge', 'gaussian', 'diagonal'): '7460728938f24973',
+    ('ridge', 'gaussian', 'identity'): '6130819d786fc267',
+    ('ridge', 'laplace', 'diagonal'): '4b887f51b8fbb1da',
+    ('ridge', 'laplace', 'identity'): 'eebe42ad1b59cc5b',
 }
 
 

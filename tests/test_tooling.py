@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
-parse, README names resolve, importing the package leaves scipy's heavy subpackages out."""
+parse, README names resolve, importing the package leaves scipy's heavy subpackages out.
+Also the Python scripts under scripts/ run and reach what they print."""
 
 import ast
 import importlib
@@ -13,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,3 +129,27 @@ def test_importing_the_package_loads_no_scipy_optimize_or_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def test_ridge_moment_script_fits_the_implemented_p1_coefficients():
+    # the quadrature half of the script (~1.5 s); its Bartlett Monte Carlo takes ~15 s
+    spec = importlib.util.spec_from_file_location(
+        "validate_ridge_moments", ROOT / "scripts" / "validate_ridge_moments.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for sigma2, theta0 in script.P1_CASES:
+        gam, delta_hat, sum_hat = script.fit_p1(sigma2, theta0)
+        implemented = gam.second_order_sum()[0, 0]
+        assert abs(delta_hat - gam.delta[0]) <= 1e-5
+        assert abs(sum_hat - implemented) <= 1e-5
+        for which in ("alt_gamma2", "uncorrected"):
+            alt = script.alternate_sums(1, sigma2, np.array([theta0]), which)[0, 0]
+            if f"{alt:+.6f}" != f"{implemented:+.6f}":  # a difference the script prints
+                assert abs(alt - sum_hat) >= 0.06, (sigma2, theta0, which)
+
+
+def test_tradeoff_script_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "accuracy_complexity_tradeoff.py"
+    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
