@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivisibilityError
+from .losses import _sigmoid
 
 LINKS = ("linear", "exp_nonlinear", "logistic")
 
@@ -177,8 +178,7 @@ def _draw(cfg: GenerativeConfig, shape: tuple, rng: np.random.Generator):
     elif cfg.link == "exp_nonlinear":
         y = np.exp(s) + sample_noise(cfg.noise, shape, rng)
     else:  # logistic: Bernoulli responses in {0, 1}; noise is ignored
-        prob = 1.0 / (1.0 + np.exp(-s))
-        y = (rng.random(shape) < prob).astype(float)
+        y = (rng.random(shape) < _sigmoid(s)).astype(float)
     return X, y
 
 
@@ -216,25 +216,18 @@ def sample_dataset(cfg: GenerativeConfig, n: int, seed: int) -> Dataset:
     return Dataset(*_draw(cfg, (n,), _rng(seed)))
 
 
-def split_rows(n: int, m: int, seed: int) -> np.ndarray:
-    """Row indices of the m shards of ``split_uniform``, one shard per row.
-
-    A seeded permutation of range(n) cut into m contiguous chunks of n/m.
-    """
-    if m < 1:
-        raise ConfigError("machine count m must be >= 1")
-    if n % m != 0:
-        raise DivisibilityError(f"m = {m} does not divide n = {n}")
-    return _rng(seed).permutation(n).reshape(m, n // m)
-
-
 def split_uniform(d: Dataset, m: int, seed: int) -> list[Dataset]:
     """Partition d uniformly at random into m shards of exactly n/m rows.
 
-    The shards take the rows of ``split_rows``, so they form an exact
-    partition of the input rows.
+    A seeded permutation of the rows cut into m contiguous chunks, so the
+    shards form an exact partition of the input rows.
     """
-    return [Dataset(d.X[rows], d.y[rows]) for rows in split_rows(d.n, m, seed)]
+    if m < 1:
+        raise ConfigError("machine count m must be >= 1")
+    if d.n % m != 0:
+        raise DivisibilityError(f"m = {m} does not divide n = {d.n}")
+    rows = _rng(seed).permutation(d.n).reshape(m, d.n // m)
+    return [Dataset(d.X[r], d.y[r]) for r in rows]
 
 
 def error_ratio(err_bar: float, err_central: float) -> float:

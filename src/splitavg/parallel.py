@@ -1,14 +1,14 @@
 """Split-and-average protocol and the seeded replication engine.
 
-A replication samples N points, fits the centralized estimator, splits the
-data uniformly at random over m machines, fits each shard, and averages.
+A replication samples N i.i.d. points, fits the centralized estimator, hands
+machine j the rows j n ... (j + 1) n - 1, fits each shard, and averages.  The
+rows are exchangeable, so these blocks are a uniformly random split in law.
 Per-replication seeds derive from (base_seed, rep) alone, so summaries are
 invariant to execution order and to any parallel schedule.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, MachineFitError, SingularHessianError, SplitAvgError
 from .estimator import FitReport, ModelSpec, fit_closed, fit_closed_stacked, fit_erm
 from .estimator import fit_erm_stacked, population_target
-from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset, split_rows
+from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset
 from .model import split_uniform  # unused here; bench/tracing.py wraps parallel.split_uniform
 
 # 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n) margin of
@@ -25,9 +25,6 @@ from .model import split_uniform  # unused here; bench/tracing.py wraps parallel
 # non-quadratic links, whose line search stalls once improvements drop below
 # the ULP of the risk (the floor scales with the noise variance).
 _NEWTON_TOL = 1e-6
-
-# Each thread's shard stacks (``_gather``), reused while (m, n, p) holds.
-_stacks = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,36 +112,16 @@ def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
     return report.theta_hat
 
 
-def _gather(d: Dataset, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The shards' (m, n, p) designs and (m, n) responses, written into this thread's stacks.
-
-    The stacks live as long as the thread and are reused while the shape
-    holds, so a replication allocates no N(p + 1) floats of its own: freshly
-    allocated, those lift glibc's heap over its trim threshold, and every
-    replication gave them back to the kernel and faulted them in again.  A
-    new shape replaces them.  The caller must not keep them past its fit.
-    """
-    shape = (*rows.shape, d.p)
-    if getattr(_stacks, "X", None) is None or _stacks.X.shape != shape:
-        _stacks.X = _stacks.y = None  # free the old stacks before the new ones are made
-        _stacks.X, _stacks.y = np.empty(shape), np.empty(rows.shape)
-    # rows is a permutation, so "clip" never clips; with out=, the default
-    # mode="raise" would gather into a temporary copy first
-    np.take(d.X, rows, axis=0, out=_stacks.X, mode="clip")
-    np.take(d.y, rows, out=_stacks.y, mode="clip")
-    return _stacks.X, _stacks.y
-
-
-def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int) -> np.ndarray:
+def _shard_fits(d: Dataset, cfg: ExperimentConfig) -> np.ndarray:
     """The (m, p) shard estimates, all shards fitted in one stacked call.
 
-    The shards are gathered into this thread's (m, n, p) stack from the rows
-    of ``split_rows``, so each equals its ``split_uniform`` shard bitwise.  A
-    failed fit raises ``MachineFitError`` for the lowest shard whose fit
-    raised or did not converge, the shard a one-by-one loop would stop at.
+    Shard j is rows j n ... (j + 1) n - 1 of d, taken as (m, n, p) and (m, n)
+    views of its arrays, so no row is copied.  A failed fit raises
+    ``MachineFitError`` for the lowest shard whose fit raised or did not
+    converge, the shard a one-by-one loop would stop at.
     """
     model = cfg.model
-    X, y = _gather(d, split_rows(d.n, cfg.m, split_seed))
+    X, y = d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n)
     try:
         if model.is_closed_form:
             return fit_closed_stacked(X, y, model.penalty)
@@ -160,23 +137,20 @@ def _shard_fits(d: Dataset, cfg: ExperimentConfig, split_seed: int) -> np.ndarra
     raise MachineFitError(f"machine {j} failed: {cause}", machine_index=j) from cause
 
 
-def _rep_seeds(base_seed: int, rep: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence(entropy=(base_seed, rep))
-    a, b = ss.generate_state(2, dtype=np.uint64)
-    return int(a), int(b)
+def _rep_seed(base_seed: int, rep: int) -> int:
+    return int(np.random.SeedSequence(entropy=(base_seed, rep)).generate_state(1, np.uint64)[0])
 
 
 def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     """One seeded replication; bit-identical for a given (cfg, rep)."""
     if not 0 <= rep < cfg.replications:
         raise ConfigError(f"rep must be in [0, {cfg.replications})")
-    sample_seed, split_seed = _rep_seeds(cfg.base_seed, rep)
-    d = sample_dataset(cfg.gen, cfg.N, sample_seed)
+    d = sample_dataset(cfg.gen, cfg.N, _rep_seed(cfg.base_seed, rep))
     theta_central = _fit_one(d, cfg.model)
     # m = 1: the single shard is the full dataset, already fitted, so
     # theta_bar is bitwise equal to theta_central.
     theta_bar = average_estimate([theta_central] if cfg.m == 1
-                                 else _shard_fits(d, cfg, split_seed))
+                                 else _shard_fits(d, cfg))
     target = cfg.theta_star()
     return ReplicationResult(
         theta_bar=theta_bar,
@@ -188,18 +162,22 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
-    """All replications, optionally on a thread pool; results ordered by rep.
-
-    Each thread that runs replications gathers their shards into stacks of
-    its own, N(p + 1) floats (3.4 MB at p = 20, N = 20000), and keeps them
-    for the next replication of the same (m, n, p).  The calling thread keeps
-    its stacks after the run; the pool threads' go when the pool ends.
-    """
+    """All replications, optionally on a thread pool; results ordered by rep."""
     reps = range(cfg.replications)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(lambda r: run_replication(cfg, r), reps))
     return [run_replication(cfg, r) for r in reps]
+
+
+def _std_error(x: np.ndarray) -> float:
+    """Standard error of the mean of x >= 0.
+
+    The standard deviation is taken of x scaled by a power of two, which is
+    exact, so squaring entries near the float maximum cannot overflow.
+    """
+    k = np.frexp(x.max())[1]
+    return float(np.ldexp(np.ldexp(x, -k).std(ddof=1), k) / np.sqrt(x.size))
 
 
 def summarize(results) -> Summary:
@@ -232,8 +210,8 @@ def summarize(results) -> Summary:
         mse_central=float(err_central_sq.mean()),
         mc_standard_errors=McStandardErrors(
             median_ratio=float(med_se),
-            mse_bar=float(err_bar_sq.std(ddof=1) / np.sqrt(reps)),
-            mse_central=float(err_central_sq.std(ddof=1) / np.sqrt(reps)),
+            mse_bar=_std_error(err_bar_sq),
+            mse_central=_std_error(err_central_sq),
         ),
         replications=reps,
     )

@@ -182,14 +182,15 @@ def test_sandwich_factors_once_and_matches_scipy(monkeypatch, model):
 
 
 # theta_bar/theta_central digests of replications 0-3 (p=10, N=2000, m=10,
-# base_seed=17), frozen from the per-shard fit_erm loop the lockstep fit replaced
+# base_seed=17); each theta_bar equals the one-by-one fit_erm fits of the
+# sample's row blocks (conftest's shard_loop)
 FROZEN_REPLICATIONS = {
-    ("logistic", "gaussian10"): ["9cbfb664861a951b", "bda4de265737c74f",
-                                 "bef358bb5cd331b7", "d028cf978621f9a5"],
-    ("nls", "gaussian10"): ["966045a501ffb8db", "91d438d435d56434",
-                            "919543a1e569fd2a", "53ba6c45b8d08c1b"],
-    ("nls", "laplace1"): ["2e15b05c6b8797c9", "d8db65e13547b95b",
-                          "bd356fc81f994594", "5dee16803bcb4a69"],
+    ("logistic", "gaussian10"): ["3686326bdf1b781a", "e63cff6f10001b2b",
+                                 "045c809a262676b7", "c71e9d861f7ee72b"],
+    ("nls", "gaussian10"): ["eb9e31ae2b72c138", "3acf3a5e769acdd1",
+                            "a564c76bc83efeb7", "a341ede0403d6802"],
+    ("nls", "laplace1"): ["ddd873404b01c00e", "f087ff72de0afa20",
+                          "10f9fca0a194163e", "5e385b21a2371f45"],
 }
 
 
@@ -206,12 +207,12 @@ def test_replications_match_frozen_shard_loop(model_name, noise_name):
     assert got == FROZEN_REPLICATIONS[(model_name, noise_name)]
 
 
-def test_lowest_failing_machine_is_named():
+def test_lowest_failing_machine_is_named(shard_loop):
     # test_machine_fit_failure_is_tagged's config (base_seed=1) and its
-    # neighbours; indices frozen from the shard-by-shard loop
+    # neighbours; the shard-by-shard loop names the expected indices
     gen = GenerativeConfig(p=2, theta0=np.array([3.0, 3.0]),
                            noise=NoiseDist.gaussian(1.0), link="logistic")
-    got = []
+    got, want = [], []
     for base_seed in range(6):
         cfg = ExperimentConfig(gen=gen, model=ModelSpec.logistic(), N=160, m=16,
                                replications=1, base_seed=base_seed)
@@ -220,7 +221,10 @@ def test_lowest_failing_machine_is_named():
         assert str(info.value).startswith(f"machine {info.value.machine_index} failed: "
                                           "fit did not converge")
         got.append(info.value.machine_index)
-    assert got == [0, 0, 3, 1, 3, 1]
+        with pytest.raises(MachineFitError) as info:
+            shard_loop(cfg, 0)
+        want.append(info.value.machine_index)
+    assert got == want
 
 
 # digest of the per-n bias and second-moment arrays and both coefficient

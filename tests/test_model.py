@@ -1,5 +1,7 @@
 """Generative sampling and uniform splitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,17 @@ def test_logistic_responses_are_binary_with_correct_mean():
     oracle = float(np.mean(1.0 / (1.0 + np.exp(-s))))
     se = 0.5 / np.sqrt(n) + 0.5 / np.sqrt(200_000)
     assert abs(d.y.mean() - oracle) <= 4 * se
+
+
+def test_logistic_draw_far_out_on_the_link_does_not_overflow():
+    cfg = _cfg(p=2, theta0=np.array([800.0, 0.0]), link="logistic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = sample_dataset(cfg, 50, seed=1)
+    # most indices x' theta0 pass |s| > 709, where exp(-s) overflows
+    far = np.abs(800.0 * d.X[:, 0]) > 40.0
+    assert far.sum() > 40
+    assert np.array_equal(d.y[far], (d.X[far, 0] > 0).astype(float))
 
 
 def test_empirical_covariance_converges():

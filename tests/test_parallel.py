@@ -1,5 +1,7 @@
 """Replication engine: determinism, averaging algebra, summaries."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,18 @@ def test_replication_bit_reproducible():
     assert not np.array_equal(a.theta_bar, c.theta_bar)
 
 
+@pytest.mark.parametrize("noise", [NoiseDist.gaussian(1.0), NoiseDist.laplace(0.5)],
+                         ids=["gaussian", "laplace"])
+@pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(1.0), ModelSpec.nonlinear_ls(),
+                                   ModelSpec.logistic()], ids=["ols", "ridge", "nls", "logistic"])
+def test_shards_are_the_blocks_of_the_sample(shard_loop, model, noise):
+    raw = np.arange(1.0, 5.0)
+    gen = GenerativeConfig(p=4, theta0=raw / np.linalg.norm(raw), noise=noise, link=model.link)
+    cfg = ExperimentConfig(gen=gen, model=model, N=600, m=6, replications=3, base_seed=4)
+    for r in range(3):
+        assert run_replication(cfg, r).theta_bar.tobytes() == shard_loop(cfg, r).tobytes()
+
+
 def test_summary_invariant_to_schedule():
     cfg = _cfg(reps=8)
     serial = summarize(run_experiment(cfg, threads=None))
@@ -125,6 +139,23 @@ def test_summarize_synthetic_examples():
     assert s.mse_bar == pytest.approx(5.0)
     with pytest.raises(ConfigError):
         summarize(two[:1])
+
+
+def test_summarize_standard_errors_near_the_float_maximum():
+    def make(err):
+        return ReplicationResult(np.zeros(2), np.zeros(2), err, err, np.zeros(2))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize([make(np.sqrt(2.5e306)), make(np.sqrt(1e306))])
+    assert s.mc_standard_errors.mse_bar == pytest.approx(7.5e305, rel=1e-12)
+    assert s.mc_standard_errors.mse_central == s.mc_standard_errors.mse_bar
+    rng = np.random.default_rng(0)
+    for reps in (2, 3, 50, 3000):  # the power-of-two scaling is exact at ordinary scales
+        sq = rng.random(reps) * 10.0 ** rng.uniform(-16, 16, reps)
+        s = summarize([make(e) for e in np.sqrt(sq)])
+        want = float(np.array([e ** 2 for e in np.sqrt(sq)]).std(ddof=1) / np.sqrt(reps))
+        assert s.mc_standard_errors.mse_bar == want
 
 
 def test_machine_fit_failure_is_tagged():

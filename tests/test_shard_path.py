@@ -1,7 +1,8 @@
 """One shard path for every model: closed-form replications and moment fits, bit for bit.
 
-The replication digests below were frozen from the per-shard ``fit_closed``
-loop, which the stacked shard fit replaced, and the laplace moment-fit digests
+The replication digests below were frozen from the engine once each of its
+theta_bar was shown bitwise equal to one-by-one ``fit_closed`` fits of the
+sample's row blocks, and the laplace moment-fit digests
 from the moment oracle's own linear-model draw, which the shared
 ``model._draw`` replaced.
 """
@@ -24,7 +25,6 @@ from splitavg import (
     mc_moment_fit,
     run_replication,
 )
-from splitavg.model import split_rows
 
 NOISES = {"gaussian": NoiseDist.gaussian(1.0), "laplace": NoiseDist.laplace(0.5)}
 MODELS = {"ols": ModelSpec.ols(), "ridge": ModelSpec.ridge(1.0)}
@@ -63,24 +63,25 @@ def moment_fit_digest(model_name, noise_name, sigma_name):
                    np.array(f.bias_coeffs), np.array(f.mse_coeffs))
 
 
-# theta_bar/theta_central digests of replications 0-1 (base_seed=11)
+# theta_bar/theta_central digests of replications 0-1 (base_seed=11); each theta_bar
+# equals the one-by-one fits of the sample's row blocks (conftest's shard_loop)
 FROZEN_REPLICATIONS = {
-    ('sim_linear', 'ols', 'gaussian', 'diagonal'): ['2b4c92bfef7b9f3e', '503826c32fe8eacb'],
-    ('sim_linear', 'ols', 'gaussian', 'identity'): ['5546ad12699b77ab', '36b07be761d415c3'],
-    ('sim_linear', 'ols', 'laplace', 'diagonal'): ['bd4095f52fb60b91', 'f66225d92cf8a8a2'],
-    ('sim_linear', 'ols', 'laplace', 'identity'): ['513bb229d26aa555', '6a8e8054445439df'],
-    ('sim_linear', 'ridge', 'gaussian', 'diagonal'): ['60e2cb268a08688a', 'fef0d333e7a680f8'],
-    ('sim_linear', 'ridge', 'gaussian', 'identity'): ['4afce15e8a8632aa', '5aab8c60c6285064'],
-    ('sim_linear', 'ridge', 'laplace', 'diagonal'): ['b46bedcba74afa5b', '132e9210d8be13e1'],
-    ('sim_linear', 'ridge', 'laplace', 'identity'): ['7071d119e30edab0', 'ae21f2d165289310'],
-    ('small', 'ols', 'gaussian', 'diagonal'): ['fa1d9bda0c66d80f', 'f4fcb3b96a79f6d8'],
-    ('small', 'ols', 'gaussian', 'identity'): ['a2963bcc71159ef5', 'd24439002dc11402'],
-    ('small', 'ols', 'laplace', 'diagonal'): ['7e91e89c2bb23766', 'f1fbfdfa389d9459'],
-    ('small', 'ols', 'laplace', 'identity'): ['33f72bc20cf527a2', '36124baabca8945c'],
-    ('small', 'ridge', 'gaussian', 'diagonal'): ['cec402921252fe6a', 'e4e29afd109138af'],
-    ('small', 'ridge', 'gaussian', 'identity'): ['e6412629de4d4770', 'd96434d0426f6b1f'],
-    ('small', 'ridge', 'laplace', 'diagonal'): ['32bdd938c0024772', 'f2f9021b6bb51da0'],
-    ('small', 'ridge', 'laplace', 'identity'): ['be3aaadb9cb5a1ae', '1a6eeae83b69fc2a'],
+    ('sim_linear', 'ols', 'gaussian', 'diagonal'): ['05851ac94a9f60e7', 'dda2e38bc12726f0'],
+    ('sim_linear', 'ols', 'gaussian', 'identity'): ['dbdf091884b3e7c6', '00d90b6a205f7e00'],
+    ('sim_linear', 'ols', 'laplace', 'diagonal'): ['19ed81b237c97395', '57754f9d74810c43'],
+    ('sim_linear', 'ols', 'laplace', 'identity'): ['614f0eaa7595e532', '61fc9f7549da02e4'],
+    ('sim_linear', 'ridge', 'gaussian', 'diagonal'): ['6e477b03d1ab89a1', '28b4118ee0069eb5'],
+    ('sim_linear', 'ridge', 'gaussian', 'identity'): ['7427fc9ce5f8549d', '88056244123972fa'],
+    ('sim_linear', 'ridge', 'laplace', 'diagonal'): ['76bdc5ea08993f1a', 'b6f34d165c1d6982'],
+    ('sim_linear', 'ridge', 'laplace', 'identity'): ['fb2b75fc1357a77b', 'a92aabdff1fcb2bc'],
+    ('small', 'ols', 'gaussian', 'diagonal'): ['5f23b36510407248', 'b78ea154932a8d8f'],
+    ('small', 'ols', 'gaussian', 'identity'): ['1a90b91dfa66f218', '7bb61384e561adda'],
+    ('small', 'ols', 'laplace', 'diagonal'): ['8d0f0c64d69be889', '9bfc843d3472f814'],
+    ('small', 'ols', 'laplace', 'identity'): ['04092ef08c598783', 'eb14fd2749a8bf38'],
+    ('small', 'ridge', 'gaussian', 'diagonal'): ['2014a3aac5e826cb', 'd8f6737e3eac8c36'],
+    ('small', 'ridge', 'gaussian', 'identity'): ['abe3f08e078d318e', '30d501a9d22fa1c9'],
+    ('small', 'ridge', 'laplace', 'diagonal'): ['1c73a721f829b17c', '84786296e00addb8'],
+    ('small', 'ridge', 'laplace', 'identity'): ['505ba315f3936d1c', '334407ce9822ef3f'],
 }
 
 # per-n bias and second-moment arrays and both coefficient pairs; the gaussian
@@ -112,14 +113,12 @@ def test_closed_form_moment_fits_match_frozen_draws(key):
 def test_middle_singular_linear_shard_is_named(monkeypatch, model):
     gen = _gen(4, "gaussian", "identity")
     cfg = ExperimentConfig(gen=gen, model=model, N=400, m=8, replications=1, base_seed=2)
-    _, split_seed = parallel._rep_seeds(cfg.base_seed, 0)
-    shard3 = split_rows(cfg.N, cfg.m, split_seed)[3]
     real = parallel.sample_dataset
 
     def zero_column_in_shard3(g, n, seed):
         d = real(g, n, seed)
         X = d.X.copy()
-        X[shard3, 1] = 0.0  # only shard 3 loses the column; the central fit keeps it
+        X[3 * cfg.n:4 * cfg.n, 1] = 0.0  # only shard 3 loses the column; the central fit keeps it
         return Dataset(X, d.y)
 
     monkeypatch.setattr(parallel, "sample_dataset", zero_column_in_shard3)
@@ -139,11 +138,11 @@ def test_non_finite_shard_is_named(model, bad):
     cfg = ExperimentConfig(gen=gen, model=model, N=400, m=8, replications=1, base_seed=2)
     d = parallel.sample_dataset(gen, cfg.N, 0)
     X = d.X.copy()
-    X[split_rows(cfg.N, cfg.m, 7)[5], 2] = bad
+    X[5 * cfg.n:6 * cfg.n, 2] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the failure is reported once, by the fit check
         with pytest.raises(MachineFitError) as info:
-            parallel._shard_fits(Dataset(X, d.y), cfg, 7)
+            parallel._shard_fits(Dataset(X, d.y), cfg)
     assert info.value.machine_index == 5
     assert type(info.value.__cause__) is RankError
     assert str(info.value) == ("machine 5 failed: normal equations are singular "

@@ -1,17 +1,15 @@
-"""Per-thread shard stacks: reused across replications, never visible in results.
+"""Shards as views of the sample: no state between replications, never visible in results.
 
-``parallel._shard_fits`` gathers every replication's shards into stacks that
-its thread keeps while (m, n, p) holds.  Outputs must not depend on what the
-stacks held before, on the thread that ran a replication, or on a failed fit
-before it; and no result may alias a stack.
+``parallel._shard_fits`` fits each replication's shards as (m, n, p) and
+(m, n) views of its own sample.  Outputs must not depend on the replications
+run before, on the thread that ran a replication, or on a failed fit before
+it; and no result may alias the sample.
 """
 
-import gc
 import platform
 import resource
 import sys
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +24,7 @@ from splitavg import (
     NoiseDist,
     run_experiment,
     run_replication,
+    sample_dataset,
 )
 
 FIELDS = ("theta_bar", "theta_central", "per_coordinate_bias_sample")
@@ -46,7 +45,7 @@ def _bytes(res) -> tuple:
 
 
 def _in_fresh_thread(fn):
-    """fn() on a new thread, which starts with no stacks."""
+    """fn() on a new thread, which has run no replication before."""
     out = []
     t = threading.Thread(target=lambda: out.append(fn()))
     t.start()
@@ -76,7 +75,7 @@ def test_threaded_run_equals_serial_run_replication_by_replication(model, thread
     cfg = _cfg(model, 3, 600, 6, reps=16)
     serial = [_bytes(res) for res in run_experiment(cfg)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, mid-gather and mid-fit
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-sample and mid-fit
     try:
         threaded = [_bytes(res) for res in run_experiment(cfg, threads=threads)]
     finally:
@@ -90,42 +89,32 @@ def test_failed_shard_fit_leaves_the_next_replication_unchanged(model):
     want = _bytes(run_replication(cfg, 1))
     d = parallel.sample_dataset(cfg.gen, cfg.N, 0)
     X = d.X.copy()
-    X[parallel.split_rows(cfg.N, cfg.m, 7)[2], 1] = np.nan  # same shape, shard 2 fails
+    X[2 * cfg.n:3 * cfg.n, 1] = np.nan  # same shape, shard 2 fails
     with np.errstate(all="ignore"), pytest.raises(MachineFitError) as info:
-        parallel._shard_fits(Dataset(X, d.y), cfg, 7)
+        parallel._shard_fits(Dataset(X, d.y), cfg)
     assert info.value.machine_index == 2
     assert _bytes(run_replication(cfg, 1)) == want
 
 
 @pytest.mark.parametrize("model", ["ridge", "logistic"])
-def test_results_do_not_alias_the_stacks(model):
+def test_results_do_not_alias_the_sample(monkeypatch, model):
     cfg = _cfg(model, 4, 400, 4)
+    samples = []
+
+    def recording_sample(gen, n, seed):
+        samples.append(sample_dataset(gen, n, seed))
+        return samples[-1]
+
+    monkeypatch.setattr(parallel, "sample_dataset", recording_sample)
     results = [run_replication(cfg, r) for r in range(2)]
     results += run_experiment(cfg)
-    shard_fits = parallel._shard_fits(parallel.sample_dataset(cfg.gen, cfg.N, 0), cfg, 3)
-    for stack in (parallel._stacks.X, parallel._stacks.y):
-        assert stack.shape[:2] == (cfg.m, cfg.n)
-        assert not np.shares_memory(shard_fits, stack)
-        for res in results:
+    shard_fits = parallel._shard_fits(samples[0], cfg)
+    assert len(samples) == len(results) == 5
+    for d, res in zip(samples, results):
+        for arr in (d.X, d.y):
+            assert not np.shares_memory(shard_fits, arr)
             for f in FIELDS:
-                assert not np.shares_memory(getattr(res, f), stack)
-
-
-def test_pool_threads_drop_their_stacks_when_the_pool_ends(monkeypatch):
-    gathered = []
-    gather = parallel._gather
-
-    def recording_gather(d, rows):
-        X, y = gather(d, rows)
-        gathered.append((threading.get_ident(), weakref.ref(X), weakref.ref(y)))
-        return X, y
-
-    monkeypatch.setattr(parallel, "_gather", recording_gather)
-    run_experiment(_cfg("ridge", 4, 400, 4, reps=6), threads=2)
-    gc.collect()
-    assert len(gathered) == 6
-    assert threading.get_ident() not in {ident for ident, _, _ in gathered}
-    assert all(x() is None and y() is None for _, x, y in gathered)
+                assert not np.shares_memory(getattr(res, f), arr)
 
 
 @pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
