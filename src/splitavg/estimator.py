@@ -46,7 +46,7 @@ class ModelSpec:
 
     @property
     def is_closed_form(self) -> bool:
-        """OLS or ridge: fitted by ``fit_closed`` rather than Newton iterations."""
+        """OLS or ridge: solved in closed form (``_solve_normal``) rather than by Newton."""
         return self.link == "linear"
 
     @staticmethod
@@ -131,11 +131,10 @@ def _default_init(X: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
     p = X.shape[1]
     if model.link == "exp_nonlinear":
         pos = y > 0
-        if int(pos.sum()) >= p:
-            try:
-                return fit_closed(Dataset(X[pos], np.log(y[pos])), 0.0)
-            except RankError:
-                pass
+        try:  # fewer than p positive responses raise too
+            return fit_closed(Dataset(X[pos], np.log(y[pos])), 0.0)
+        except RankError:
+            pass
     return np.zeros(p)
 
 
@@ -215,6 +214,7 @@ def fit_erm_stacked(
     running = np.ones(k, dtype=bool)
     act = np.arange(k)  # the running slices, in slice order
     iterations = 0  # every running slice has taken this many steps
+    eye = np.eye(p)
     while act.size:
         if trace is not None:
             trace.extend(risk[act].tolist())
@@ -232,7 +232,7 @@ def fit_erm_stacked(
             for _ in range(40):
                 if not shift.size:
                     break
-                x, ok = _cho_solve_stack(hess[shift] + tau[:, None, None] * np.eye(p),
+                x, ok = _cho_solve_stack(hess[shift] + tau[:, None, None] * eye,
                                          -grad[shift])
                 direction[shift[ok]] = x[ok]
                 factored[shift[ok]] = True
@@ -301,8 +301,8 @@ def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) ->
 
     Every system gets the LAPACK calls of a lone 2-D solve
     (``_cho_solve_stack``), so a slice of the stack equals its own solve
-    bitwise.  A singular system, or one whose solution is not finite (NaN or
-    inf data), raises ``RankError`` naming the lowest one.
+    bitwise.  A singular system (at penalty 0, any with n < p) or a non-finite
+    solution (NaN or inf data) raises ``RankError`` naming the lowest one.
     """
     if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
@@ -312,24 +312,24 @@ def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) ->
         b = b / n
     theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
     ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
+    ok &= penalty > 0 or n >= p  # rank(G) <= n: singular however G rounds
     if not ok.all():
         raise RankError("normal equations are singular (rank-deficient design)",
                         index=int(np.argmin(ok)))
     return theta.reshape(a.shape[:-1])
 
 
-def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
-    """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs: ``_solve_normal``
-    of their Grams.
-
-    ``X`` has shape (..., n, p) and ``y`` shape (..., n); the result has shape
-    (..., p).
-    """
-    n = X.shape[-2]
+def _normal_stats(X: np.ndarray, y: np.ndarray):
+    """X'X and X'y of a design or a stack; non-finite data fail in ``_solve_normal``."""
     xt = np.swapaxes(X, -1, -2)
-    with np.errstate(invalid="ignore", over="ignore"):  # non-finite data fail in the solve
-        G, b = xt @ X, (xt @ y[..., None])[..., 0]
-    return _solve_normal(G, b, n, penalty)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return xt @ X, (xt @ y[..., None])[..., 0]
+
+
+def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
+    """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs X (..., n, p) and
+    responses y (..., n): ``_solve_normal`` of their Grams, shape (..., p)."""
+    return _solve_normal(*_normal_stats(X, y), X.shape[-2], penalty)
 
 
 def fit_closed(d: Dataset, penalty: float = 0.0) -> np.ndarray:

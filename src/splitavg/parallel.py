@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, MachineFitError, SingularHessianError, SplitAvgError
-from .estimator import FitReport, ModelSpec, fit_closed, fit_closed_stacked, fit_erm
+from .estimator import FitReport, ModelSpec, _normal_stats, _solve_normal, fit_erm
 from .estimator import fit_erm_stacked, population_target
 from .model import Dataset, GenerativeConfig, error_ratio, sample_dataset
+from .estimator import fit_closed  # unused here; bench/tracing.py wraps parallel.fit_closed
 from .model import split_uniform  # unused here; bench/tracing.py wraps parallel.split_uniform
 
 # 1e-6 keeps the risk gap ~ |grad|^2 ~ 1e-12 far inside the o(1/n) margin of
@@ -103,28 +104,32 @@ def _unconverged(report: FitReport) -> SplitAvgError:
     return SplitAvgError(f"fit did not converge (grad norm {report.grad_norm:.2e})")
 
 
-def _fit_one(d: Dataset, model: ModelSpec) -> np.ndarray:
-    if model.is_closed_form:
-        return fit_closed(d, model.penalty)
-    report = fit_erm(d, model, tol=_NEWTON_TOL)
+def _central_fit(d: Dataset, cfg: ExperimentConfig):
+    """The fit to all N points, and the OLS/ridge shard statistics whose sums it solves."""
+    if cfg.model.is_closed_form:
+        stats = _normal_stats(d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n))
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums fail in the solve
+            G, b = stats[0].sum(0), stats[1].sum(0)
+        return _solve_normal(G, b, cfg.N, cfg.model.penalty), stats
+    report = fit_erm(d, cfg.model, tol=_NEWTON_TOL)
     if not report.converged:
         raise _unconverged(report)
-    return report.theta_hat
+    return report.theta_hat, None
 
 
-def _shard_fits(d: Dataset, cfg: ExperimentConfig) -> np.ndarray:
+def _shard_fits(d: Dataset, cfg: ExperimentConfig, stats=None) -> np.ndarray:
     """The (m, p) shard estimates, all shards fitted in one stacked call.
 
     Shard j is rows j n ... (j + 1) n - 1 of d, taken as (m, n, p) and (m, n)
-    views of its arrays, so no row is copied.  A failed fit raises
-    ``MachineFitError`` for the lowest shard whose fit raised or did not
-    converge, the shard a one-by-one loop would stop at.
+    views.  OLS/ridge shards solve ``stats`` from ``_central_fit``, else the
+    views' own.  A failed fit raises ``MachineFitError`` for the lowest shard
+    whose fit raised or did not converge, where a one-by-one loop would stop.
     """
     model = cfg.model
     X, y = d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n)
     try:
         if model.is_closed_form:
-            return fit_closed_stacked(X, y, model.penalty)
+            return _solve_normal(*(stats or _normal_stats(X, y)), cfg.n, model.penalty)
         reports, j, cause = fit_erm_stacked(X, y, model, tol=_NEWTON_TOL), None, None
     except SingularHessianError as exc:  # the lowest singular shard and the fits below it
         reports, j, cause = exc.reports, exc.index, exc
@@ -146,11 +151,11 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     if not 0 <= rep < cfg.replications:
         raise ConfigError(f"rep must be in [0, {cfg.replications})")
     d = sample_dataset(cfg.gen, cfg.N, _rep_seed(cfg.base_seed, rep))
-    theta_central = _fit_one(d, cfg.model)
+    theta_central, stats = _central_fit(d, cfg)
     # m = 1: the single shard is the full dataset, already fitted, so
     # theta_bar is bitwise equal to theta_central.
     theta_bar = average_estimate([theta_central] if cfg.m == 1
-                                 else _shard_fits(d, cfg))
+                                 else _shard_fits(d, cfg, stats))
     target = cfg.theta_star()
     return ReplicationResult(
         theta_bar=theta_bar,
@@ -176,6 +181,8 @@ def _std_error(x: np.ndarray) -> float:
     The standard deviation is taken of x scaled by a power of two, which is
     exact, so squaring entries near the float maximum cannot overflow.
     """
+    if np.isinf(x.max()):
+        return np.inf
     k = np.frexp(x.max())[1]
     return float(np.ldexp(np.ldexp(x, -k).std(ddof=1), k) / np.sqrt(x.size))
 
@@ -191,8 +198,9 @@ def summarize(results) -> Summary:
         raise ConfigError("summarize needs >= 2 replications")
     reps = len(results)
     ratios = np.array([error_ratio(r.err_bar, r.err_central) for r in results])
-    err_bar_sq = np.array([r.err_bar ** 2 for r in results])
-    err_central_sq = np.array([r.err_central ** 2 for r in results])
+    with np.errstate(over="ignore"):  # a huge error squares to inf, which the MSE carries
+        err_bar_sq = np.array([r.err_bar for r in results]) ** 2
+        err_central_sq = np.array([r.err_central for r in results]) ** 2
     bias = np.array([r.per_coordinate_bias_sample for r in results])
     med = float(np.median(ratios))
     # ratios equal to the median deviate by 0, also when both are inf

@@ -158,6 +158,20 @@ def test_summarize_standard_errors_near_the_float_maximum():
         assert s.mc_standard_errors.mse_bar == want
 
 
+def test_summarize_carries_an_error_whose_square_overflows():
+    # 1e160 ** 2 overflows a float: the MSE and its standard error read inf,
+    # and the median and MAD of the ratios are those of (1e160, 1)
+    results = [ReplicationResult(np.zeros(2), np.zeros(2), e, 1.0, np.zeros(2))
+               for e in (1e160, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = summarize(results)
+    assert s.mse_bar == s.mc_standard_errors.mse_bar == np.inf
+    assert (s.mse_central, s.mc_standard_errors.mse_central) == (1.0, 0.0)
+    assert s.median_ratio == (1e160 + 1.0) / 2
+    assert s.mad_ratio == 1e160 - s.median_ratio
+
+
 def test_machine_fit_failure_is_tagged():
     # moderate signal: the centralized fit converges but 10-sample logistic
     # shards are separable with near certainty

@@ -22,8 +22,11 @@ from splitavg import (
     ModelSpec,
     NoiseDist,
     RankError,
+    fit_closed,
     mc_moment_fit,
+    run_experiment,
     run_replication,
+    sample_dataset,
 )
 
 NOISES = {"gaussian": NoiseDist.gaussian(1.0), "laplace": NoiseDist.laplace(0.5)}
@@ -40,7 +43,8 @@ def _digest(*arrays) -> str:
 
 def _gen(p, noise_name, sigma_name):
     raw = np.arange(1.0, p + 1.0)
-    sigma = None if sigma_name == "identity" else np.linspace(0.5, 2.0, p)
+    sigma = {"identity": None, "diagonal": np.linspace(0.5, 2.0, p),
+             "dense": 0.5 * np.eye(p) + 0.5 * np.outer(raw, raw) / (raw @ raw)}[sigma_name]
     return GenerativeConfig(p=p, theta0=raw / np.linalg.norm(raw), noise=NOISES[noise_name],
                             sigma_spec=sigma)
 
@@ -64,24 +68,26 @@ def moment_fit_digest(model_name, noise_name, sigma_name):
 
 
 # theta_bar/theta_central digests of replications 0-1 (base_seed=11); each theta_bar
-# equals the one-by-one fits of the sample's row blocks (conftest's shard_loop)
+# equals the one-by-one fits of the sample's row blocks (conftest's shard_loop), and
+# theta_central solves the summed shard statistics, which
+# test_central_fit_from_shard_statistics_matches_fit_closed holds to fit_closed
 FROZEN_REPLICATIONS = {
-    ('sim_linear', 'ols', 'gaussian', 'diagonal'): ['05851ac94a9f60e7', 'dda2e38bc12726f0'],
-    ('sim_linear', 'ols', 'gaussian', 'identity'): ['dbdf091884b3e7c6', '00d90b6a205f7e00'],
-    ('sim_linear', 'ols', 'laplace', 'diagonal'): ['19ed81b237c97395', '57754f9d74810c43'],
-    ('sim_linear', 'ols', 'laplace', 'identity'): ['614f0eaa7595e532', '61fc9f7549da02e4'],
-    ('sim_linear', 'ridge', 'gaussian', 'diagonal'): ['6e477b03d1ab89a1', '28b4118ee0069eb5'],
-    ('sim_linear', 'ridge', 'gaussian', 'identity'): ['7427fc9ce5f8549d', '88056244123972fa'],
-    ('sim_linear', 'ridge', 'laplace', 'diagonal'): ['76bdc5ea08993f1a', 'b6f34d165c1d6982'],
-    ('sim_linear', 'ridge', 'laplace', 'identity'): ['fb2b75fc1357a77b', 'a92aabdff1fcb2bc'],
-    ('small', 'ols', 'gaussian', 'diagonal'): ['5f23b36510407248', 'b78ea154932a8d8f'],
-    ('small', 'ols', 'gaussian', 'identity'): ['1a90b91dfa66f218', '7bb61384e561adda'],
-    ('small', 'ols', 'laplace', 'diagonal'): ['8d0f0c64d69be889', '9bfc843d3472f814'],
-    ('small', 'ols', 'laplace', 'identity'): ['04092ef08c598783', 'eb14fd2749a8bf38'],
-    ('small', 'ridge', 'gaussian', 'diagonal'): ['2014a3aac5e826cb', 'd8f6737e3eac8c36'],
-    ('small', 'ridge', 'gaussian', 'identity'): ['abe3f08e078d318e', '30d501a9d22fa1c9'],
-    ('small', 'ridge', 'laplace', 'diagonal'): ['1c73a721f829b17c', '84786296e00addb8'],
-    ('small', 'ridge', 'laplace', 'identity'): ['505ba315f3936d1c', '334407ce9822ef3f'],
+    ('sim_linear', 'ols', 'gaussian', 'diagonal'): ['986a49977456443d', '2241f50e891f1f80'],
+    ('sim_linear', 'ols', 'gaussian', 'identity'): ['599e1ebead8a8f86', '7f442701c68c36ea'],
+    ('sim_linear', 'ols', 'laplace', 'diagonal'): ['33d798e3e4646b17', 'f449cb0078ad6a77'],
+    ('sim_linear', 'ols', 'laplace', 'identity'): ['03c652ee20f3cb00', '06828e31a602fe29'],
+    ('sim_linear', 'ridge', 'gaussian', 'diagonal'): ['9a6311472a23eec0', '38e4b5eabb2358fd'],
+    ('sim_linear', 'ridge', 'gaussian', 'identity'): ['be860344fec89fc2', 'ae5d5c31a91a1116'],
+    ('sim_linear', 'ridge', 'laplace', 'diagonal'): ['237a9a81d32bf23e', 'd0c032a2eb5775cd'],
+    ('sim_linear', 'ridge', 'laplace', 'identity'): ['b8f29d981ba2ce09', '35f488d255fd7e50'],
+    ('small', 'ols', 'gaussian', 'diagonal'): ['d548ab7bdf153fb8', 'b2844aa4e473263a'],
+    ('small', 'ols', 'gaussian', 'identity'): ['1d4ac237fa919221', 'fe00558e3a76b96d'],
+    ('small', 'ols', 'laplace', 'diagonal'): ['f134ad1e2157f8ef', '90f5d7e007541578'],
+    ('small', 'ols', 'laplace', 'identity'): ['ca4712d35567e66b', 'b4d5c82be0530ebe'],
+    ('small', 'ridge', 'gaussian', 'diagonal'): ['ffa91a842c04a319', '40d7ba18da8b7631'],
+    ('small', 'ridge', 'gaussian', 'identity'): ['0b44c3b751b470ed', '3d7d536fd855bb7f'],
+    ('small', 'ridge', 'laplace', 'diagonal'): ['c0992b64de24d7f0', '486b3b97abc324fe'],
+    ('small', 'ridge', 'laplace', 'identity'): ['f492c9aca4dedabd', '70ea4af5335171bb'],
 }
 
 # per-n bias and second-moment arrays and both coefficient pairs; the gaussian
@@ -107,6 +113,64 @@ def test_closed_form_replications_match_frozen_shard_loop(key):
 @pytest.mark.parametrize("key", sorted(FROZEN_MOMENT_FITS), ids="-".join)
 def test_closed_form_moment_fits_match_frozen_draws(key):
     assert moment_fit_digest(*key) == FROZEN_MOMENT_FITS[key]
+
+
+def _sample(cfg, rep):
+    """The sample ``run_replication(cfg, rep)`` draws."""
+    return sample_dataset(cfg.gen, cfg.N, parallel._rep_seed(cfg.base_seed, rep))
+
+
+@pytest.mark.parametrize("m", [2, 40])
+@pytest.mark.parametrize("sigma_name", ["identity", "diagonal", "dense"])
+@pytest.mark.parametrize("noise_name", sorted(NOISES))
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_central_fit_from_shard_statistics_matches_fit_closed(model_name, noise_name,
+                                                              sigma_name, m):
+    # the summed shard Grams differ from the full-sample Gram by rounding only
+    cfg = ExperimentConfig(gen=_gen(10, noise_name, sigma_name), model=MODELS[model_name],
+                           N=4000, m=m, replications=3, base_seed=7)
+    for r in range(3):
+        got = run_replication(cfg, r).theta_central
+        want = fit_closed(_sample(cfg, r), cfg.model.penalty)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("sigma_name", ["identity", "dense"])
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_single_machine_linear_replication_is_fit_closed_bitwise(model_name, sigma_name):
+    cfg = ExperimentConfig(gen=_gen(5, "laplace", sigma_name), model=MODELS[model_name],
+                           N=500, m=1, replications=3, base_seed=7)
+    for r in range(3):
+        res = run_replication(cfg, r)
+        want = fit_closed(_sample(cfg, r), cfg.model.penalty)
+        assert res.theta_central.tobytes() == want.tobytes()
+        assert res.theta_bar.tobytes() == res.theta_central.tobytes()
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_linear_run_is_bitwise_equal_on_two_threads(model_name):
+    cfg = ExperimentConfig(gen=_gen(20, "gaussian", "dense"), model=MODELS[model_name],
+                           N=20000, m=40, replications=6, base_seed=7)
+    runs = [[(r.theta_bar.tobytes(), r.theta_central.tobytes(), r.err_bar, r.err_central)
+             for r in run_experiment(cfg, threads=t)] for t in (1, 2)]
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("model_name", sorted(MODELS))
+def test_linear_replication_forms_no_full_sample_gram(monkeypatch, model_name):
+    # the central fit solves the summed shard statistics; fit_closed would form
+    # a second, full-sample Gram
+    cfg = ExperimentConfig(gen=_gen(4, "gaussian", "diagonal"), model=MODELS[model_name],
+                           N=400, m=4, replications=1, base_seed=7)
+    want = run_replication(cfg, 0)
+
+    def no_full_gram(*args, **kwargs):
+        raise AssertionError("a linear replication called fit_closed")
+
+    monkeypatch.setattr(parallel, "fit_closed", no_full_gram)
+    got = run_replication(cfg, 0)
+    assert got.theta_central.tobytes() == want.theta_central.tobytes()
+    assert got.theta_bar.tobytes() == want.theta_bar.tobytes()
 
 
 @pytest.mark.parametrize("model", [ModelSpec.ols(), ModelSpec.ridge(0.0)], ids=["ols", "ridge0"])
