@@ -160,6 +160,7 @@ class PerturbCoeffs:
         return self.r2 / self.r1
 
 
+@lru_cache(maxsize=32)
 def perturb_coeffs(
     loss: LossSpec,
     noise: NoiseDist,
@@ -333,29 +334,9 @@ def _series_init(loss: LossSpec, noise: NoiseDist, kappa: float, q: QuadratureSp
     return c1 * growth / math.sqrt(1.0 + growth), c1 * c1 * growth
 
 
-def solve_rc(
-    loss: LossSpec,
-    noise: NoiseDist,
-    kappa: float,
-    q: QuadratureSpec | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> RcSolution:
-    """Solve the coupled equations for (c, r(kappa)) by damped Newton in (c, r^2).
-
-    Working in r^2 avoids the square-root singularity at kappa -> 0.  The
-    iteration starts from the small-kappa series and stops when the residual
-    norm is <= tol.  Every residual evaluation also returns the analytic
-    Jacobian, so a Newton step costs one prox evaluation.
-    """
-    if not 0.0 < kappa < 1.0:
-        raise ConfigError("kappa must be in (0, 1)")
-    q = q or DEFAULT_QUADRATURE
-    if loss.is_smooth:
-        fn = _smooth_residual_fn(loss, noise, q)
-    else:
-        fn = _absolute_residual_fn(noise, q)
-    x = np.array(_series_init(loss, noise, kappa, q), dtype=float)
+def _newton_rc(fn, x0, kappa: float, tol: float, max_iter: int) -> RcSolution:
+    """Damped Newton on ``fn``'s residuals in (c, r^2) from ``x0``, to residual norm <= tol."""
+    x = np.array(x0, dtype=float)
     f, jac = fn(x[0], x[1], kappa)
     trace = [float(np.linalg.norm(f))]
     for _ in range(max_iter):
@@ -382,6 +363,36 @@ def solve_rc(
         trace.append(float(np.linalg.norm(f)))
     raise SolverFailureError(
         f"no convergence in {max_iter} iterations (kappa={kappa})", trace)
+
+
+def solve_rc(
+    loss: LossSpec,
+    noise: NoiseDist,
+    kappa: float,
+    q: QuadratureSpec | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> RcSolution:
+    """Solve the coupled equations for (c, r(kappa)).
+
+    The squared loss has the exact law c = kappa/(1-kappa), r^2 = kappa
+    sigma^2/(1-kappa) for any noise of variance sigma^2: it is returned
+    without quadrature, with the exact equations' residuals at that point.
+    Other losses run damped Newton in (c, r^2) from the small-kappa series;
+    working in r^2 avoids the square-root singularity at kappa -> 0.  It
+    stops when the residual norm is <= tol, and every residual evaluation
+    also returns the analytic Jacobian, so a step costs one prox evaluation.
+    """
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError("kappa must be in (0, 1)")
+    if loss.kind == "squared":
+        s2 = noise.variance
+        c, rho = kappa / (1.0 - kappa), kappa * s2 / (1.0 - kappa)
+        residuals = (1.0 / (1.0 + c) - (1.0 - kappa), kappa * kappa * (s2 + rho) - kappa * rho)
+        return RcSolution(kappa, c, math.sqrt(rho), residuals)
+    q = q or DEFAULT_QUADRATURE
+    fn = _smooth_residual_fn(loss, noise, q) if loss.is_smooth else _absolute_residual_fn(noise, q)
+    return _newton_rc(fn, _series_init(loss, noise, kappa, q), kappa, tol, max_iter)
 
 
 def absolute_series(noise: NoiseDist, kappa_grid=None,

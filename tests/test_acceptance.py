@@ -12,6 +12,7 @@ import numpy as np
 from scipy import stats
 
 import splitavg as sa
+from splitavg.highdim import _smooth_residual_fn
 from splitavg.oracles import ALL_IDENTITY_IDS
 
 
@@ -59,18 +60,26 @@ def test_criterion_1_accuracy_loss_grid():
 
 
 def test_criterion_2_exact_least_squares_law():
-    worst = 0.0
+    # solve_rc returns the law itself, so the quadrature equations are also
+    # evaluated at the law: their residual norm must vanish there
+    worst = worst_norm = 0.0
     for s2 in (1.0, 10.0):
         noise = sa.NoiseDist.gaussian(s2)
+        quadrature = _smooth_residual_fn(sa.LossSpec.squared(), noise, sa.QuadratureSpec())
         for kappa in (0.05, 0.1, 0.2, 0.5):
             sol = sa.solve_rc(sa.LossSpec.squared(), noise, kappa)
             c_rel = abs(sol.c - kappa / (1 - kappa)) / (kappa / (1 - kappa))
             r_rel = abs(sol.r_squared - kappa * s2 / (1 - kappa)) \
                 / (kappa * s2 / (1 - kappa))
             worst = max(worst, c_rel, r_rel)
-    _report("C2 (exact LS residual law)", worst <= 1e-6,
-            f"worst relative error {worst:.2e}")
+            f, _ = quadrature(kappa / (1 - kappa), kappa * s2 / (1 - kappa), kappa)
+            worst_norm = max(worst_norm, float(np.hypot(*f)))
+    ok = worst <= 1e-6 and worst_norm <= 1e-12
+    _report("C2 (exact LS residual law)", ok,
+            f"worst relative error {worst:.2e}; "
+            f"worst quadrature residual norm at the law {worst_norm:.2e}")
     assert worst <= 1e-6
+    assert worst_norm <= 1e-12
 
 
 def test_criterion_3_sign_correction():

@@ -6,11 +6,14 @@ from scipy.integrate import quad
 
 from splitavg import (
     ConfigError,
+    HighDimRegime,
     LossSpec,
     NoiseDist,
+    PlannerProblem,
     QuadratureSpec,
     SolverFailureError,
     absolute_series,
+    choose_m,
     expect_xi,
     loss_derivative,
     mse_ratio_exact,
@@ -24,6 +27,7 @@ from splitavg.highdim import (
     _compound_grid,
     _eps_axis,
     _expect_xi_adaptive,
+    _newton_rc,
     _smooth_residual_fn,
 )
 
@@ -102,6 +106,36 @@ def test_solve_rc_squared_exact_law():
             assert sol.c == pytest.approx(kappa / (1 - kappa), rel=1e-6)
             assert sol.r_squared == pytest.approx(kappa * s2 / (1 - kappa), rel=1e-6)
             assert max(abs(r) for r in sol.residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("nodes", [16, 64])
+@pytest.mark.parametrize("noise", [GAUSS1, NoiseDist.gaussian(10.0), _LAP],
+                         ids=["gauss1", "gauss10", "laplace-var1"])
+@pytest.mark.parametrize("kappa", [0.05, 0.2, 0.5, 0.9])
+def test_newton_converges_to_the_squared_law_on_the_quadrature(kappa, noise, nodes):
+    # solve_rc returns the squared law without iterating, so Newton is checked
+    # here on the one loss with a closed-form answer, from a start 10% off it
+    c, rho = kappa / (1 - kappa), kappa * noise.variance / (1 - kappa)
+    fn = _smooth_residual_fn(LossSpec.squared(), noise, QuadratureSpec(nodes))
+    sol = _newton_rc(fn, (1.1 * c, 1.1 * rho), kappa, tol=1e-12, max_iter=50)
+    assert sol.c == pytest.approx(c, rel=1e-9)
+    assert sol.r_squared == pytest.approx(rho, rel=1e-9)
+
+
+def test_squared_solves_read_no_quadrature(monkeypatch):
+    import splitavg.highdim as hd
+
+    def no_grid(*args):
+        raise AssertionError("a squared solve read the quadrature")
+
+    monkeypatch.setattr(hd, "_compound_grid", no_grid)
+    monkeypatch.setattr(hd, "_eps_axis", no_grid)
+    assert solve_rc(LossSpec.squared(), GAUSS1, 0.2).c == 0.25
+    assert mse_ratio_exact(LossSpec.squared(), _LAP, 0.2, 10) == pytest.approx(0.98 / 0.8)
+    plan = choose_m(PlannerProblem(mode="fixed_N", size=10 ** 5, constraint="relative",
+                                   eps=0.1, regime=HighDimRegime(LossSpec.squared(),
+                                                                 GAUSS1, 100)))
+    assert plan.m == 92  # the squared plan of the bench's highdim workload
 
 
 def test_solve_rc_vanishes_at_tiny_kappa():
@@ -255,7 +289,7 @@ def test_absolute_series_laplace_has_half_power_term():
     # kappa^2 Taylor coefficient).
     lap = NoiseDist.laplace(1.0)
     for kappa, tol in ((1e-4, 0.02), (1e-3, 0.06)):
-        rho = solve_rc(lap_loss := LossSpec.absolute(), lap, kappa).r_squared
+        rho = solve_rc(LossSpec.absolute(), lap, kappa, tol=1e-13).r_squared
         half_coeff = (rho / kappa - 1.0) / np.sqrt(kappa)
         assert half_coeff == pytest.approx(2 * np.sqrt(2 / np.pi), rel=tol)
     r1, r2 = absolute_series(lap)
@@ -374,7 +408,9 @@ def test_perturb_coeffs_evaluates_each_derivative_once(monkeypatch):
     real = hd.derivative_array
     monkeypatch.setattr(hd, "derivative_array",
                         lambda loss, t, k: orders.append(k) or real(loss, t, k))
+    perturb_coeffs.cache_clear()
     perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)
+    perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)  # cached: evaluates nothing
     assert orders == [1, 2, 3, 4]
 
 
@@ -453,30 +489,31 @@ def test_even_loss_solve_runs_the_prox_on_half_the_grid(monkeypatch):
 
 
 # (loss, noise, Gauss-Hermite nodes): float.hex of solve_rc(loss, noise, 0.2, q)'s
-# (c, r, residuals), then _smooth_residual_fn(loss, noise, q)(0.3, rho, 0.2)'s
-# (f, J row by row) at rho = 0.25 and rho = 0; pseudo_huber is delta = 3.
+# (c, r, residuals) (the squared loss's exact law, read from no quadrature), then
+# _smooth_residual_fn(loss, noise, q)(0.3, rho, 0.2)'s (f, J row by row) at rho = 0.25
+# and rho = 0; pseudo_huber is delta = 3.
 # Bitwise: a change of summation order or of the prox moves the last digit.
 FROZEN_SMOOTH_SOLVER_HEX = {
     ('squared', 'gauss1', 16): (
-        '0x1.0000000000001p-2', '0x1.0000000000000p-1', '-0x1.0000000000000p-52', '-0x1.0000000000000p-56',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x1.0000000000000p-57',
         '-0x1.f81f81f81f840p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
         '0x1.5d914db87485cp-2', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('squared', 'gauss1', 64): (
-        '0x1.0000000000001p-2', '0x1.0000000000000p-1', '-0x1.0000000000000p-51', '-0x1.8000000000000p-56',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x1.0000000000000p-57',
         '-0x1.f81f81f81f860p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51ap-1', '0x0.0p+0',
         '0x1.5d914db87485ap-2', '-0x1.2c88eff1753ecp-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('squared', 'laplace', 16): (
-        '0x1.0000000000001p-2', '0x1.ffffffffffff2p-2', '-0x1.0000000000000p-52', '-0x1.0000000000000p-56',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0',
         '-0x1.f81f81f81f860p-6', '0x1.0f736d5e3856cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
         '0x1.5d914db87484ep-2', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f840p-6', '0x1.b442a6a0916a0p-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d36cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('squared', 'laplace', 64): (
-        '0x1.0000000000001p-2', '0x1.ffffffffffff2p-2', '-0x1.0000000000000p-51', '-0x1.0000000000000p-55',
+        '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x0.0p+0',
         '-0x1.f81f81f81f880p-6', '0x1.0f736d5e38564p-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
         '0x1.5d914db87484ap-2', '-0x1.2c88eff1753ecp-3', '-0x1.f81f81f81f840p-6', '0x1.b442a6a0916a0p-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d36cp-2', '-0x1.2c88eff1753ebp-3',
