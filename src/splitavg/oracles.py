@@ -6,7 +6,10 @@ rank-one x_i x_i'), and the moment fit recovers the 1/n and 1/n^2 error
 coefficients of an estimator purely from simulation.  ``wishart_check`` gives
 each of its two streams one thread: a worker draws x1 a block ahead while the
 calling thread draws the block's x2, if the identity reads x2, and sums the
-block.  For OLS and ridge under Gaussian noise the moment fit draws
+block.  Two of the nine identities are one: for symmetric B,
+S_1 S_2 B S_1 S_2 = S_1 S_2 S_1 B S_2 because x_2'B x_1 = x_1'B x_2, so
+``E_SS2BSS2`` and ``E_SS2S_BS2`` share their closed form and their draws.
+For OLS and ridge under Gaussian noise the moment fit draws
 each replication's exact (X'X, X'y) from Bartlett factors
 (``model._gram_draw``) instead of an n x p design: the same law, sampled
 without any of the expansions it checks.
@@ -86,7 +89,9 @@ def wishart_closed_form(w: WishartIdentity) -> np.ndarray:
     if w.id == "E_SBS2BS":
         sbs = sig @ B @ sig
         return 2.0 * sbs @ B @ sig + np.trace(B @ sig @ B @ sig) * sig
-    if w.id == "E_SS2BSS2":
+    if w.id in ("E_SS2BSS2", "E_SS2S_BS2"):  # one identity: x2'Bx1 = x1'Bx2
+        # the scalar case pins the trace weight at 2 (E[S^2]^2 = 9 = 7 + 2 for
+        # chi-squared_1 factors)
         return (p + 6.0) * B + 2.0 * tr_b * eye
     if w.id == "E_SS2BS":
         return 2.0 * B + tr_b * eye
@@ -94,10 +99,6 @@ def wishart_closed_form(w: WishartIdentity) -> np.ndarray:
         return 4.0 * B + (4.0 + p) * tr_b * eye
     if w.id == "E_S2BS":
         return (8.0 + 2.0 * p) * B + (4.0 + p) * tr_b * eye
-    if w.id == "E_SS2S_BS2":
-        # (6+p) B + 2 tr(B) I; the scalar case pins the trace weight at 2
-        # (E[S^2]^2 = 9 = 7 + 2 for chi-squared_1 factors)
-        return (6.0 + p) * B + 2.0 * tr_b * eye
     return (4.0 + 2.0 * p) * B + (2.0 + p) * tr_b * eye  # E_SS22BS
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InfeasiblePlanError, NumericalError, SolverFailureError
+from .errors import ConfigError, InfeasiblePlanError, NumericalError
 from .fixed_p import GammaSet, m2_parallel
 from .highdim import QuadratureSpec, solve_rc
 from .losses import LossSpec
@@ -67,6 +67,9 @@ class PlannerProblem:
             raise ConfigError("size must be >= 1")
         if not isinstance(self.regime, (FixedPRegime, HighDimRegime)):
             raise ConfigError("regime must be FixedPRegime or HighDimRegime")
+        p = self.regime.p
+        if self.mode == "fixed_n" and isinstance(self.regime, FixedPRegime) and self.size < p:
+            raise ConfigError(f"fixed-p fixed_n plans need n >= p (n = {self.size}, p = {p})")
 
 
 @dataclass(frozen=True)
@@ -110,83 +113,18 @@ def _max_feasible_m(prob: PlannerProblem) -> float:
     return float(prob.size)
 
 
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's method
-    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-
-    A line-for-line port of scipy.optimize.brentq (scipy's ``Zeros/brentq.c``): the
-    same float operations in the same order, so it calls f at the same points and
-    returns the same root, bit for bit.  Importing scipy.optimize for this one
-    function would load some 200 modules into every process that imports splitavg.
-    Returns once half the bracket is below (xtol + rtol |x|) / 2.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise NumericalError(f"the function value at x = {x} is NaN")
-        return fx
-
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConfigError(f"f({xpre}) = {fpre} and f({xcur}) = {fcur} have the same sign")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf  # C's inf or nan, which fails the test below
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise SolverFailureError(f"Brent's method did not converge in {maxiter} iterations; "
-                             f"last x = {xcur}")
-
-
 def choose_m(prob: PlannerProblem) -> PlannerResult:
     """Minimal (fixed_n) or maximal (fixed_N) machine count meeting the bound.
 
-    The real-valued feasibility boundary (where the predicted error equals
-    the bound) is located first; the returned integer is the nearest one.
-    This boundary-nearest convention reproduces the worked planning examples
-    this module is checked against; the boundary itself is available to
-    callers via predicted_error.
+    Returns floor(m* + 1/2), the integer nearest the boundary m* where the
+    predicted error equals the bound, from the signs at the cell edges k + 1/2
+    alone.  This boundary-nearest convention reproduces the worked planning
+    examples this module is checked against.
     """
     probed: dict[float, float] = {}
 
     def error(m: float) -> float:
-        # Each machine count is predicted at most once per call; _brentq
-        # evaluates its bracket ends again and the answer is often a probe.
+        # each m is predicted once per call; the secant reads the bracket ends again
         if m not in probed:
             probed[m] = predicted_error(prob, m)
         return probed[m]
@@ -194,7 +132,7 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
     e1 = error(1.0)
     bound = prob.eps if prob.constraint == "absolute" else (1.0 + prob.eps) * e1
     # fixed_n wants the least m under the bound (error falls with m), fixed_N the
-    # largest (error grows with m): double m up to the cap, then root-find.
+    # largest (error grows with m): double m up to the cap, then test edges.
     minimizing = prob.mode == "fixed_n"
     if minimizing and e1 <= bound:
         return PlannerResult(1, e1, False)
@@ -211,6 +149,17 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
             raise InfeasiblePlanError("error bound unreachable at any m", error_at_one=e1)
         m = int(math.floor(hi))
         return PlannerResult(m, error(m), False)
-    m_star = _brentq(lambda m: error(m) - bound, lo, hi, xtol=1e-9, rtol=1e-14)
-    m = max(1, math.floor(m_star + 0.5))
+    # The crossing is in (lo, hi]: probe the edge k + 1/2 inside nearest the secant
+    # estimate until two probes in a row fall on one side, then alternate middle and
+    # secant edges.  Past is strict, so a crossing on an edge rounds half up.
+    last, mid, fell_back = None, False, False
+    while (k_lo := math.floor(lo + 0.5)) <= (k_hi := math.ceil(hi - 0.5) - 1):
+        f_lo, f_hi = error(lo) - bound, error(hi) - bound
+        x = (lo + hi) / 2 if mid else lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        edge = min(max(math.floor(x), k_lo), k_hi) + 0.5
+        past = error(edge) < bound if minimizing else error(edge) > bound
+        fell_back = fell_back or past == last
+        mid, last = fell_back and not mid, past
+        lo, hi = (lo, edge) if past else (edge, hi)
+    m = math.ceil(hi - 0.5)
     return PlannerResult(m, error(m), True)

@@ -279,6 +279,18 @@ def test_infeasible_plan_exits_one(tmp_path, capsys):
     assert "single machine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["--n", "1"], ["--model", "ridge", "--penalty", "1", "--n", "5"]],
+                         ids=["ols", "ridge"])
+def test_plan_fixed_n_below_p_exits_one(tmp_path, capsys, argv):
+    # the fixed-p expansion needs n >= p samples per machine; these once planned 1200 and 18
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-n", *argv, "--p", "10", "--total-eps", "0.1",
+                 "--out", str(out)])
+    assert code == 1
+    assert "n >= p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # tiny separable logistic shards abort the replication
     out = tmp_path / "x.csv"

@@ -17,13 +17,12 @@ from splitavg import (
     NoiseDist,
     NumericalError,
     PlannerProblem,
-    SolverFailureError,
+    QuadratureSpec,
     choose_m,
     ols_gammas,
     predicted_error,
     ridge_gammas,
 )
-from splitavg.planner import _brentq
 
 
 # indefinite, non-symmetric, NaN and wrong-shape covariances for p = 2
@@ -152,6 +151,102 @@ def test_boundary_nearest_property_fixed_N(p, sigma2, logn, eps_factor):
         assert hi >= prob.eps * (1 - 1e-9)
 
 
+def _past(prob, m):
+    """choose_m's own test: m lies strictly past the crossing of an absolute bound."""
+    error = predicted_error(prob, m)
+    return error < prob.eps if prob.mode == "fixed_n" else error > prob.eps
+
+
+@pytest.mark.parametrize("kind,mode", [("ols", "fixed_n"), ("ridge", "fixed_n"),
+                                       ("ridge", "fixed_N"), ("squared", "fixed_n"),
+                                       ("squared", "fixed_N")])
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.integers(1, 40), sigma2=st.floats(0.5, 20),
+       log_ratio=st.floats(0.31, 2.5), eps_factor=st.floats(0.05, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_boundary_nearest_edge_signs(kind, mode, seed, p, sigma2, log_ratio, eps_factor):
+    # n >= 2p; fixed_N keeps N / p above 100, so an edge past the kappa cap has kappa < 1
+    size = int(p * 10 ** (log_ratio + 2 * (mode == "fixed_N")))
+    rng = np.random.default_rng(seed)
+    floor = 0.0  # the error no machine count beats
+    if kind == "squared":
+        regime = HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(sigma2), p)
+    elif kind == "ols":
+        regime = FixedPRegime(ols_gammas(None, sigma2, p))
+    else:
+        gam = ridge_gammas(rng.normal(size=p), sigma2, 10 ** rng.uniform(-2, 1))
+        regime = FixedPRegime(gam)
+        floor = float(np.trace(gam.gamma0)) / size ** 2
+    base = predicted_error(PlannerProblem(mode, size, "absolute", 1.0, regime), 1)
+    eps = floor + (base - floor) * eps_factor if mode == "fixed_n" else base / eps_factor
+    prob = PlannerProblem(mode, size, "absolute", eps, regime)
+    result = choose_m(prob)
+    if mode == "fixed_n" or result.m < size:
+        # the answer's cell edges fall on either side of the crossing, sign for sign
+        assert result.binding
+        assert not _past(prob, max(1.0, result.m - 0.5))
+        assert _past(prob, result.m + 0.5)
+
+
+@pytest.mark.parametrize("mode,size,k", [("fixed_n", 10 ** 4, 1), ("fixed_n", 10 ** 4, 50),
+                                         ("fixed_N", 10 ** 6, 1), ("fixed_N", 10 ** 6, 9900)])
+def test_crossing_on_an_edge_rounds_half_up(mode, size, k):
+    eps = predicted_error(ols_problem(mode, size, 1.0), k + 0.5)
+    result = choose_m(ols_problem(mode, size, eps))
+    assert result.m == k + 1
+    assert result.binding
+
+
+@pytest.mark.parametrize("mode", ["fixed_N", "fixed_n"])
+@pytest.mark.parametrize("m_star", [5000.2, 6500.7, 8100.4])
+def test_edge_search_solves_a_step_function(monkeypatch, mode, m_star):
+    # A staircase with a jump of 999 at m_star: its secant estimates hug the low
+    # end of the bracket (4096, 8192], so only middle edges make progress there.
+    from splitavg import planner
+
+    probed = []
+
+    def step(prob, m):
+        probed.append(m)
+        rise = 1.0 + math.floor(m / 64) * 1e-3 + (999.0 if m > m_star else 0.0)
+        return rise if mode == "fixed_N" else 1001.0 - rise
+
+    monkeypatch.setattr(planner, "predicted_error", step)
+    eps = 1.5 if mode == "fixed_N" else 999.5
+    result = planner.choose_m(ols_problem(mode, 10 ** 6, eps, p=1))
+    assert result.m == math.floor(m_star + 0.5)
+    assert result.binding
+    after = probed[probed.index(8192.0) + 1:]
+    assert len(set(probed)) == len(probed)
+    assert len(after) <= 2 * math.ceil(math.log2(4096)) + 2  # 4096 edges in the bracket
+    assert any(4096 + 4096 / 3 < m < 8192 - 4096 / 3 for m in after)  # a middle edge
+
+
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.absolute(),
+                                  LossSpec.pseudo_huber(3.0)], ids=lambda loss: loss.kind)
+def test_high_dim_workload_plans_probe_at_most_14_times(monkeypatch, loss):
+    # the three plans of the highdim benchmark workload; the root finder took 14 each
+    from splitavg import planner
+
+    probed = []
+    real = planner.predicted_error
+    monkeypatch.setattr(planner, "predicted_error",
+                        lambda prob, m: probed.append(m) or real(prob, m))
+    quadrature = QuadratureSpec(nodes=16) if loss.kind == "pseudo_huber" else None
+    regime = HighDimRegime(loss, NoiseDist.gaussian(1.0), 100, quadrature=quadrature)
+    result = planner.choose_m(PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime))
+    assert result.binding
+    assert len(probed) <= 14
+
+
+@pytest.mark.parametrize("model", ["ols", "ridge"])
+def test_fixed_p_fixed_n_needs_n_at_least_p(model):
+    gam = ols_gammas(None, 1.0, 10) if model == "ols" else ridge_gammas(np.ones(10), 1.0, 1.0)
+    with pytest.raises(ConfigError, match=r"n >= p \(n = 9, p = 10\)"):
+        PlannerProblem("fixed_n", 9, "absolute", 0.1, FixedPRegime(gam))
+    at_p = PlannerProblem("fixed_n", 10, "absolute", 0.1, FixedPRegime(gam))  # n = p plans
+    assert math.isfinite(predicted_error(at_p, 2))
+
+
 def test_problem_validation():
     gam = ols_gammas(None, 1.0, 3)
     with pytest.raises(ConfigError):
@@ -177,19 +272,18 @@ def test_problem_validation():
             LossSpec.squared(), NoiseDist.gaussian(1.0), 2, BAD_SIGMAS[0])))
 
 
-# predicted_error's arguments for the C4 problems, frozen before the two
-# search modes were merged into one doubling-then-brentq loop
+# predicted_error's arguments for the C4 problems: the doubling, then the cell
+# edges k + 1/2 the search tested, then the answer (frozen when the edge search
+# replaced the root finder; it took 15 / 18 / 14 probes before)
 C4_PROBES = {
     ("fixed_n", 10 ** 4, "absolute", 2e-3): [
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 55.44955944955945, 50.02091588654136,
-        50.55239298440917, 50.50545425583294, 50.50499999591432, 50.50500000000004,
-        50.50499999949979, 51.0],
+        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 55.5, 52.5, 42.5, 50.5, 51.5, 51.0],
     ("fixed_N", 10 ** 6, "absolute", 2e-3): [
         1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
-        4096.0, 8192.0, 16384.0, 9900.990099009896, 9900.990099010445, 9901.0],
+        4096.0, 8192.0, 16384.0, 9900.5, 9901.5, 9901.0],
     ("fixed_N", 10 ** 6, "relative", 0.1): [
         1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-        991.1990099009861, 991.1990099004811, 991.0],
+        991.5, 990.5, 991.0],
 }
 
 
@@ -237,68 +331,6 @@ def test_high_dim_plan_inverts_sigma_only_at_construction(monkeypatch):
     result = choose_m(PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime))
     assert result.m > 1
     assert inverses == []
-
-
-def _shapes(rng):
-    """Five function shapes with a root r: smooth, steep, flat-then-steep, far from
-    unit scale (products of two values under- or overflow) and a staircase (equal
-    values make the extrapolation divide by zero)."""
-    r, c = rng.uniform(-5, 5), rng.uniform(-2, 2)
-    k, s = 10 ** rng.uniform(-2, 3), 10.0 ** int(rng.integers(-250, 250))
-    return [lambda x: (x - r) ** 3 + c * (x - r),
-            lambda x: math.exp(min(x, 700.0)) - math.exp(r),
-            lambda x: math.atan(k * (x - r)),
-            lambda x: s * (x - r) * (1 + (x - r) ** 2),
-            lambda x: math.floor(4 * (x - r)) + 0.5], r
-
-
-def _solve(solver, f, a, b, xtol, rtol):
-    calls = []
-
-    def recorded(x):
-        calls.append(x)
-        return f(x)
-
-    try:
-        return solver(recorded, a, b, xtol=xtol, rtol=rtol).hex(), calls
-    except ValueError:  # no sign change: scipy's ValueError, the port's ConfigError
-        return "no sign change", calls
-
-
-# choose_m's tolerances, scipy's defaults (its least rtol) and a coarse xtol
-@pytest.mark.parametrize("xtol,rtol", [(1e-9, 1e-14), (2e-12, 4 * np.finfo(float).eps),
-                                       (1e-3, 4 * np.finfo(float).eps)])
-def test_brentq_port_probes_and_returns_what_scipy_does(xtol, rtol):
-    rng = np.random.default_rng(23)
-    cases = 0
-    for _ in range(60):
-        shapes, r = _shapes(rng)
-        for f in shapes:
-            a, b = r - 10 ** rng.uniform(-3, 1.3), r + 10 ** rng.uniform(-3, 1.3)
-            if rng.random() < 0.5:
-                a, b = b, a
-            want, want_calls = _solve(brentq, f, a, b, xtol, rtol)
-            got, got_calls = _solve(_brentq, f, a, b, xtol, rtol)
-            assert got == want
-            assert [x.hex() for x in got_calls] == [x.hex() for x in want_calls]
-            cases += want != "no sign change"
-    assert cases > 250
-
-
-def test_brentq_port_failures_raise_package_errors():
-    with pytest.raises(ConfigError, match="same sign"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-9, 1e-14)
-    # signs, not products: 1e-200 * 1e-200 underflows to 0 but the signs agree
-    with pytest.raises(ConfigError, match="same sign"):
-        _brentq(lambda x: 1e-200, 0.0, 1.0, 1e-9, 1e-14)
-    with pytest.raises(NumericalError, match="NaN"):
-        _brentq(lambda x: x if x < 0.5 else math.nan, -1.0, 1.0, 1e-9, 1e-14)
-    calls = []
-    with pytest.raises(SolverFailureError, match="did not converge in 3 iterations") as info:
-        _brentq(lambda x: calls.append(x) or math.atan(50.0 * (x - 0.3)), -3.0, 7.0,
-                1e-9, 1e-14, maxiter=3)
-    assert isinstance(info.value, RuntimeError)
-    assert len(calls) == 5  # two bracket ends and one probe per iteration
 
 
 @pytest.mark.parametrize("model", ["ols", "ridge"])
