@@ -68,8 +68,9 @@ class PlannerProblem:
         if not isinstance(self.regime, (FixedPRegime, HighDimRegime)):
             raise ConfigError("regime must be FixedPRegime or HighDimRegime")
         p = self.regime.p
-        if self.mode == "fixed_n" and isinstance(self.regime, FixedPRegime) and self.size < p:
-            raise ConfigError(f"fixed-p fixed_n plans need n >= p (n = {self.size}, p = {p})")
+        if isinstance(self.regime, FixedPRegime) and self.size < p:
+            # in fixed_N mode even one machine would hold N < p samples
+            raise ConfigError(f"fixed-p plans need n >= p ({self.mode[-1]} = {self.size}, p = {p})")
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,13 @@ def predicted_error(prob: PlannerProblem, m: float) -> float:
 
 
 def _max_feasible_m(prob: PlannerProblem) -> float:
-    """Largest m the regime itself allows (domain limit, not the error bound)."""
+    """Largest whole m the regime itself allows (domain limit, not the error bound)."""
     if prob.mode == "fixed_n":
         return 1e12
     if isinstance(prob.regime, HighDimRegime):
         # keep kappa comfortably inside the solver's range
-        return max(1.0, 0.99 * prob.size / prob.regime.p)
-    return float(prob.size)
+        return max(1.0, float(math.floor(0.99 * prob.size / prob.regime.p)))
+    return float(prob.size // prob.regime.p)  # n = N / m >= p, as fixed_n plans need
 
 
 def choose_m(prob: PlannerProblem) -> PlannerResult:
@@ -132,7 +133,7 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
     e1 = error(1.0)
     bound = prob.eps if prob.constraint == "absolute" else (1.0 + prob.eps) * e1
     # fixed_n wants the least m under the bound (error falls with m), fixed_N the
-    # largest (error grows with m): double m up to the cap, then test edges.
+    # largest (error grows with m): bracket the crossing below the cap, then test edges.
     minimizing = prob.mode == "fixed_n"
     if minimizing and e1 <= bound:
         return PlannerResult(1, e1, False)
@@ -141,9 +142,16 @@ def choose_m(prob: PlannerProblem) -> PlannerResult:
             f"even a single machine exceeds the bound ({e1:.3e} > {bound:.3e})",
             error_at_one=e1)
     m_cap = _max_feasible_m(prob)
+    # To first order the error is linear in u = m at fixed N and in u = 1/m at fixed n
+    # (u is its own inverse): step to the integer past the crossing of the secant
+    # through the last two probes, or double m if that reaches further.
+    u = (lambda m: 1.0 / m) if minimizing else (lambda m: m)
     lo, hi = 1.0, min(2.0, m_cap)
     while hi < m_cap and (error(hi) > bound) == minimizing:
-        lo, hi = hi, min(hi * 2.0, m_cap)
+        f_lo, f_hi = error(lo), error(hi)
+        u_x = u(hi) + (u(hi) - u(lo)) * (bound - f_hi) / (f_hi - f_lo) if f_hi != f_lo else 0.0
+        m_x = min(u(u_x), m_cap) if u_x > 0 else 0.0
+        lo, hi = hi, min(max(hi * 2.0, math.floor(m_x) + 1.0), m_cap)
     if (error(hi) > bound) == minimizing:  # not crossed below the cap
         if minimizing:
             raise InfeasiblePlanError("error bound unreachable at any m", error_at_one=e1)

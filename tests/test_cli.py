@@ -291,6 +291,24 @@ def test_plan_fixed_n_below_p_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_plan_fixed_N_keeps_p_samples_per_machine(tmp_path):
+    # once planned m = 50, one sample per machine; N / p = 5 is the cap, not the bound
+    out = tmp_path / "plan.csv"
+    code = main(["plan", "--mode", "fixed-N", "--N", "50", "--p", "10", "--total-eps", "100",
+                 "--out", str(out)])
+    assert code == 0
+    assert read_csv(out)[2] == [["fixed-N", "absolute", "5", "0.42"]]
+
+
+def test_plan_fixed_N_below_p_exits_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["plan", "--mode", "fixed-N", "--N", "9", "--p", "10", "--total-eps", "100",
+                 "--out", str(out)])
+    assert code == 1
+    assert "n >= p (N = 9, p = 10)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exits_two(tmp_path, capsys):
     # tiny separable logistic shards abort the replication
     out = tmp_path / "x.csv"

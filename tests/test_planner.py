@@ -117,6 +117,15 @@ def test_high_dim_kappa_domain_errors():
     assert predicted_error(prob, result.m) <= 10.0
 
 
+def test_high_dim_fixed_N_crossing_past_the_last_whole_m_under_the_cap():
+    # the cap is floor(0.99 N / p) = 19; a crossing at 19.7 once planned m = 20, kappa = 1,
+    # and raised InfeasiblePlanError although m = 19 meets the bound
+    regime = HighDimRegime(loss=LossSpec.squared(), noise=NoiseDist.gaussian(1.0), p=50)
+    eps = predicted_error(PlannerProblem("fixed_N", 1000, "absolute", 1.0, regime), 19.7)
+    result = choose_m(PlannerProblem("fixed_N", 1000, "absolute", eps, regime))
+    assert (result.m, result.binding) == (19, False)
+
+
 def test_fixed_N_more_machines_than_samples_is_infeasible():
     prob = ols_problem("fixed_N", 100, 1.0, p=10)
     with pytest.raises(InfeasiblePlanError, match="less than one sample per machine"):
@@ -180,7 +189,7 @@ def test_boundary_nearest_edge_signs(kind, mode, seed, p, sigma2, log_ratio, eps
     eps = floor + (base - floor) * eps_factor if mode == "fixed_n" else base / eps_factor
     prob = PlannerProblem(mode, size, "absolute", eps, regime)
     result = choose_m(prob)
-    if mode == "fixed_n" or result.m < size:
+    if mode == "fixed_n" or result.m < size // p:  # a fixed-p plan at the N / p cap is unbound
         # the answer's cell edges fall on either side of the crossing, sign for sign
         assert result.binding
         assert not _past(prob, max(1.0, result.m - 0.5))
@@ -200,7 +209,7 @@ def test_crossing_on_an_edge_rounds_half_up(mode, size, k):
 @pytest.mark.parametrize("m_star", [5000.2, 6500.7, 8100.4])
 def test_edge_search_solves_a_step_function(monkeypatch, mode, m_star):
     # A staircase with a jump of 999 at m_star: its secant estimates hug the low
-    # end of the bracket (4096, 8192], so only middle edges make progress there.
+    # end of the bracket, so only middle edges make progress there.
     from splitavg import planner
 
     probed = []
@@ -215,36 +224,117 @@ def test_edge_search_solves_a_step_function(monkeypatch, mode, m_star):
     result = planner.choose_m(ols_problem(mode, 10 ** 6, eps, p=1))
     assert result.m == math.floor(m_star + 0.5)
     assert result.binding
-    after = probed[probed.index(8192.0) + 1:]
+    # the bracket: the last probe before the crossing and the first one past it
+    first_past = next(i for i, m in enumerate(probed) if m > m_star)
+    lo, hi = probed[first_past - 1], probed[first_past]
+    after = probed[first_past + 1:]
+    assert lo < m_star < hi
     assert len(set(probed)) == len(probed)
-    assert len(after) <= 2 * math.ceil(math.log2(4096)) + 2  # 4096 edges in the bracket
-    assert any(4096 + 4096 / 3 < m < 8192 - 4096 / 3 for m in after)  # a middle edge
+    edges = hi - lo  # the bracket's ends are whole machine counts
+    assert len(after) <= 2 * math.ceil(math.log2(edges)) + 2
+    assert any(lo + edges / 3 < m < hi - edges / 3 for m in after)  # a middle edge
 
 
-@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.absolute(),
-                                  LossSpec.pseudo_huber(3.0)], ids=lambda loss: loss.kind)
-def test_high_dim_workload_plans_probe_at_most_14_times(monkeypatch, loss):
-    # the three plans of the highdim benchmark workload; the root finder took 14 each
+def workload_plan(loss):
+    """One of the highdim benchmark workload's three plans."""
+    quadrature = QuadratureSpec(nodes=16) if loss.kind == "pseudo_huber" else None
+    regime = HighDimRegime(loss, NoiseDist.gaussian(1.0), 100, quadrature=quadrature)
+    return PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime)
+
+
+WORKLOAD_LOSSES = [LossSpec.squared(), LossSpec.absolute(), LossSpec.pseudo_huber(3.0)]
+
+
+@pytest.mark.parametrize("loss", WORKLOAD_LOSSES, ids=lambda loss: loss.kind)
+def test_high_dim_workload_plans_probe_at_most_8_times(monkeypatch, loss):
+    # the root finder took 14 predictions each, the edge search after doubling m from 1 took 13
     from splitavg import planner
 
     probed = []
     real = planner.predicted_error
     monkeypatch.setattr(planner, "predicted_error",
                         lambda prob, m: probed.append(m) or real(prob, m))
-    quadrature = QuadratureSpec(nodes=16) if loss.kind == "pseudo_huber" else None
-    regime = HighDimRegime(loss, NoiseDist.gaussian(1.0), 100, quadrature=quadrature)
-    result = planner.choose_m(PlannerProblem("fixed_N", 10 ** 5, "relative", 0.1, regime))
+    result = planner.choose_m(workload_plan(loss))
     assert result.binding
-    assert len(probed) <= 14
+    assert len(probed) <= 8
 
 
+# (m, float.hex(achieved_error), binding) of the C4 plans and the highdim workload's
+# plans, the same before and after the secant step: the probe tests pin the path, these
+# the answer
+PLAN_OUTCOMES = [
+    (ols_problem("fixed_n", 10 ** 4, 2e-3), (51, "0x1.03998365159f3p-9", True)),
+    (ols_problem("fixed_N", 10 ** 6, 2e-3), (9901, "0x1.0624e5c62093ep-9", True)),
+    (ols_problem("fixed_N", 10 ** 6, 0.1, constraint="relative"),
+     (991, "0x1.2061db787268dp-10", True)),
+    *zip(map(workload_plan, WORKLOAD_LOSSES), [(92, "0x1.20b470c67c0d9p-10", True),
+                                               (101, "0x1.c58d19c1dd682p-10", True),
+                                               (93, "0x1.22ee3eaec3f43p-10", True)]),
+]
+
+
+@pytest.mark.parametrize("prob,outcome", PLAN_OUTCOMES, ids=[
+    "c4-fixed_n", "c4-fixed_N", "c4-relative", "squared", "absolute", "pseudo_huber"])
+def test_reference_plans_keep_their_outcome(prob, outcome):
+    result = choose_m(prob)
+    assert (result.m, float.hex(result.achieved_error), result.binding) == outcome
+
+
+@pytest.mark.parametrize("kind", ["ols", "ridge", "squared"])
+@given(mode=st.sampled_from(["fixed_n", "fixed_N"]),
+       constraint=st.sampled_from(["absolute", "relative"]), seed=st.integers(0, 2 ** 32 - 1),
+       p=st.integers(1, 40), sigma2=st.floats(0.5, 20), log_ratio=st.floats(0.0, 4.0),
+       log_eps=st.floats(-1.5, 1.5))
+@settings(max_examples=40, deadline=None)
+def test_probes_stay_in_the_domain_once_each(kind, mode, constraint, seed, p, sigma2,
+                                             log_ratio, log_eps):
+    from splitavg import planner
+
+    rng = np.random.default_rng(seed)
+    if kind == "squared":
+        regime = HighDimRegime(LossSpec.squared(), NoiseDist.gaussian(sigma2), p)
+    elif kind == "ols":
+        regime = FixedPRegime(ols_gammas(None, sigma2, p))
+    else:
+        regime = FixedPRegime(ridge_gammas(rng.normal(size=p), sigma2, 10 ** rng.uniform(-2, 1)))
+    size = int(p * 10 ** log_ratio) + (kind == "squared")  # n > p keeps kappa < 1 at m = 1
+    eps = 10 ** log_eps
+    if constraint == "absolute":
+        eps *= predicted_error(PlannerProblem(mode, size, "absolute", 1.0, regime), 1)
+    prob = PlannerProblem(mode, size, constraint, eps, regime)
+    probed = []
+    with pytest.MonkeyPatch.context() as patch:
+        real = planner.predicted_error
+        patch.setattr(planner, "predicted_error",
+                      lambda prob, m: probed.append(m) or real(prob, m))
+        try:
+            planner.choose_m(prob)
+        except InfeasiblePlanError:
+            pass
+    assert all(1 <= m <= planner._max_feasible_m(prob) for m in probed)
+    assert len(set(probed)) == len(probed)
+    if kind == "ols":
+        assert len(probed) <= 6  # the secant is exact for OLS: one step lands past the crossing
+
+
+@pytest.mark.parametrize("mode", ["fixed_n", "fixed_N"])
 @pytest.mark.parametrize("model", ["ols", "ridge"])
-def test_fixed_p_fixed_n_needs_n_at_least_p(model):
+def test_fixed_p_plans_need_n_at_least_p(model, mode):
     gam = ols_gammas(None, 1.0, 10) if model == "ols" else ridge_gammas(np.ones(10), 1.0, 1.0)
-    with pytest.raises(ConfigError, match=r"n >= p \(n = 9, p = 10\)"):
-        PlannerProblem("fixed_n", 9, "absolute", 0.1, FixedPRegime(gam))
-    at_p = PlannerProblem("fixed_n", 10, "absolute", 0.1, FixedPRegime(gam))  # n = p plans
-    assert math.isfinite(predicted_error(at_p, 2))
+    with pytest.raises(ConfigError, match=rf"n >= p \({mode[-1]} = 9, p = 10\)"):
+        PlannerProblem(mode, 9, "absolute", 0.1, FixedPRegime(gam))
+    at_p = PlannerProblem(mode, 10, "absolute", 0.1, FixedPRegime(gam))  # n = p plans
+    assert math.isfinite(predicted_error(at_p, 1))
+
+
+@pytest.mark.parametrize("size,m", [(50, 5), (59, 5), (10 ** 6, 10 ** 5)])
+def test_fixed_p_fixed_N_plans_keep_p_samples_per_machine(size, m):
+    # a bound that every m meets: the plan stops at the largest m with N / m >= p, where
+    # N = 50, p = 10 once planned m = 50 (one sample per machine)
+    result = choose_m(ols_problem("fixed_N", size, 100.0, p=10))
+    assert result.m == m
+    assert size / result.m >= 10
+    assert not result.binding
 
 
 def test_problem_validation():
@@ -272,18 +362,14 @@ def test_problem_validation():
             LossSpec.squared(), NoiseDist.gaussian(1.0), 2, BAD_SIGMAS[0])))
 
 
-# predicted_error's arguments for the C4 problems: the doubling, then the cell
-# edges k + 1/2 the search tested, then the answer (frozen when the edge search
-# replaced the root finder; it took 15 / 18 / 14 probes before)
+# predicted_error's arguments for the C4 problems: m = 1 and 2, the step past the
+# secant's crossing, then the cell edges k + 1/2 the search tested, then the answer
+# if it was not probed yet (frozen when the secant step replaced doubling m from 1;
+# the doubling took 13 / 18 / 14 probes)
 C4_PROBES = {
-    ("fixed_n", 10 ** 4, "absolute", 2e-3): [
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 55.5, 52.5, 42.5, 50.5, 51.5, 51.0],
-    ("fixed_N", 10 ** 6, "absolute", 2e-3): [
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0,
-        4096.0, 8192.0, 16384.0, 9900.5, 9901.5, 9901.0],
-    ("fixed_N", 10 ** 6, "relative", 0.1): [
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-        991.5, 990.5, 991.0],
+    ("fixed_n", 10 ** 4, "absolute", 2e-3): [1.0, 2.0, 51.0, 50.5],
+    ("fixed_N", 10 ** 6, "absolute", 2e-3): [1.0, 2.0, 9901.0, 9900.5],
+    ("fixed_N", 10 ** 6, "relative", 0.1): [1.0, 2.0, 992.0, 991.5, 990.5, 991.0],
 }
 
 
@@ -308,7 +394,8 @@ def test_choose_m_predicts_each_machine_count_once(monkeypatch, mode, size, cons
 
 
 def test_fixed_n_root_between_last_doubling_and_cap():
-    # the root 8e11 lies in (2^39, 1e12]: the search must test the cap itself
+    # the root 8e11 lies in (2^39, 1e12]; the secant step from m = 1 and 2 lands ~3.5e7
+    # past it (rounding hides the intercept of an error ~1/m), and the edges find it
     prob = PlannerProblem("fixed_n", 1, "absolute", 3.75e-12,
                           FixedPRegime(ols_gammas(None, 1.0, 1)))
     result = choose_m(prob)

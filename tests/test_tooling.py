@@ -84,6 +84,20 @@ def test_documented_command_lines_parse():
                 pytest.fail(f"{shlex.join(argv)}: {exc}")
 
 
+def test_grid_plans_reproduce_their_csvs(tmp_path):
+    # the plan lines of the grids script, run in-process, write grids_out/ byte for byte
+    from splitavg.cli import main
+
+    script = (ROOT / "scripts" / "run_reference_grids.sh").read_text()
+    argvs = [argv for argv in _cli_argvs(script) if argv[0] == "plan"]
+    assert len(argvs) == 3
+    for argv in argvs:
+        out = Path(argv[argv.index("--out") + 1])
+        argv[argv.index("--out") + 1] = str(tmp_path / out.name)
+        assert main(argv) == 0
+        assert (tmp_path / out.name).read_bytes() == (ROOT / out).read_bytes(), out.name
+
+
 def test_every_module_name_in_the_readme_resolves():
     # a `<module>.<name>` the README names must still exist in splitavg.<module>
     modules = {path.stem for path in PACKAGE.glob("*.py")}
