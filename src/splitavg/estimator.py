@@ -122,20 +122,18 @@ def _grad_hess(X: np.ndarray, y: np.ndarray, model: ModelSpec, theta: np.ndarray
     return grad, hess, w1
 
 
-def default_tol(n: int) -> float:
-    """Stopping tolerance well inside the o(1/n) approximate-minimizer margin."""
-    return min(1e-10, 1.0 / (n * n))
-
-
 def _default_init(X: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
-    p = X.shape[1]
+    """Newton starts (k, p) for a stack: zero, or on the exp link the OLS fit of log y
+    on a slice's positive responses where that fit exists."""
+    theta = np.zeros(X.shape[::2])
     if model.link == "exp_nonlinear":
-        pos = y > 0
-        try:  # fewer than p positive responses raise too
-            return fit_closed(Dataset(X[pos], np.log(y[pos])), 0.0)
-        except RankError:
-            pass
-    return np.zeros(p)
+        for i, (X_i, y_i) in enumerate(zip(X, y)):
+            pos = y_i > 0
+            try:  # fewer than p positive responses, or none, raise too
+                theta[i] = fit_closed_stacked(X_i[pos], np.log(y_i[pos]))
+            except RankError:
+                pass
+    return theta
 
 
 def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -174,52 +172,48 @@ def fit_erm_stacked(
 ) -> list[FitReport]:
     """Damped Newton with Armijo backtracking on each slice of a stack, in lockstep.
 
-    ``X`` has shape (k, n, p) and ``y`` shape (k, n); ``init`` is one start,
-    shape (p,), or one per slice, (k, p).  Each slice keeps its own Newton
-    step, shifts, certificate and step length, and stops on its own, so its
-    ``FitReport`` equals its own ``fit_erm`` bitwise.  A slice converges when
-    its gradient norm is at most ``tol`` (default ``min(1e-10, n^-2)``), its
-    Hessian factors without a shift and its Newton step is below
-    ``1e-6 (1 + |theta|)``.  The iteration cap or a failed line search stops
-    it with ``converged=False`` (logistic fits on separable data
-    legitimately never converge).  A Hessian that does not factor while
-    steps remain (for a non-quadratic objective: not even after 40 growing
-    Levenberg shifts) raises ``SingularHessianError`` once every slice has
-    stopped; its ``index`` is the lowest such slice and its ``reports`` the
-    fits of the slices below it.  ``trace`` receives, at the start of every
-    pass, the risks of the slices still running.
+    ``X`` has shape (k, n, p) with n, p >= 1 and ``y`` shape (k, n); ``init``
+    is one start, shape (p,), or one per slice, (k, p).  Each slice keeps its
+    own Newton step, shifts, certificate and step length, so its ``FitReport``
+    equals its own ``fit_erm`` bitwise.  A slice keeps running only while its
+    line search accepts a step.  It takes none once converged: gradient norm
+    at most ``tol`` (default ``min(1e-10, n^-2)``), a Hessian that factors
+    without a shift and a Newton step below ``1e-6 (1 + |theta|)``.  The
+    iteration cap or a failed line search stop it with ``converged=False``
+    (logistic fits on separable data legitimately never converge).  A
+    Hessian that does not factor while steps remain (for a non-quadratic
+    objective: not even after 40 growing Levenberg shifts) stops it too and
+    raises ``SingularHessianError`` once every slice has stopped; its
+    ``index`` is the lowest such slice and its ``reports`` the fits of the
+    slices below it.  ``trace`` receives, at the start of every pass, the
+    risks of the slices still running.
     """
     if not model.loss.is_smooth:
         raise ConfigError("fit_erm requires a smooth loss")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 3 or y.shape != X.shape[:2]:
-        raise ConfigError("X must be k x n x p and y k x n")
+    X, y = np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    if X.ndim != 3 or y.shape != X.shape[:2] or min(X.shape[1:]) < 1:
+        raise ConfigError("X must be k x n x p with n, p >= 1 and y k x n")
     k, n, p = X.shape
-    if tol is None:
-        tol = default_tol(n)
+    tol = min(1e-10, 1.0 / (n * n)) if tol is None else tol  # inside the o(1/n) margin
     if tol <= 0:
         raise ConfigError("tol must be > 0")
     if init is None:
-        theta = np.array([_default_init(X_i, y_i, model) for X_i, y_i in zip(X, y)])
-        theta = theta.reshape(k, p)  # also for an empty stack
+        theta = _default_init(X, y, model)
     else:
         theta = np.array(init, dtype=float)
         if theta.shape not in ((p,), (k, p)):
             raise ConfigError(f"init must have shape ({p},) or ({k}, {p})")
         theta = np.broadcast_to(theta, (k, p)).copy()
     risk = _risk(X, y, model, theta)
-    reports: list = [None] * k
-    singular = []
-    running = np.ones(k, dtype=bool)
+    # each slice's gradient norm, pass count and flags at its last pass
+    gnorms, passes = np.zeros(k), np.zeros(k, dtype=int)
+    certified, singular = np.zeros((2, k), dtype=bool)
     act = np.arange(k)  # the running slices, in slice order
     iterations = 0  # every running slice has taken this many steps
-    eye = np.eye(p)
     while act.size:
         if trace is not None:
             trace.extend(risk[act].tolist())
-        Xa, ya = _rows(X, act), _rows(y, act)
-        th, risk_a = theta[act], risk[act]
+        Xa, ya, th = _rows(X, act), _rows(y, act), theta[act]
         grad, hess, _ = _grad_hess(Xa, ya, model, th)
         gnorm = np.sqrt(_dot(grad, grad))
         direction, clean = _cho_solve_stack(hess, -grad)
@@ -227,12 +221,11 @@ def fit_erm_stacked(
         if not model.is_closed_form:
             # Non-quadratic objectives: Levenberg-style shift until factorizable.
             shift = np.flatnonzero(~clean)
-            diag = np.abs(np.diagonal(hess[shift], axis1=-2, axis2=-1))
-            tau = 1e-8 * np.fmax(1.0, np.max(diag, axis=-1))
+            tau = 1e-8 * np.fmax(1.0, np.abs(np.diagonal(hess[shift], axis1=-2, axis2=-1)).max(-1))
             for _ in range(40):
                 if not shift.size:
                     break
-                x, ok = _cho_solve_stack(hess[shift] + tau[:, None, None] * eye,
+                x, ok = _cho_solve_stack(hess[shift] + tau[:, None, None] * np.eye(p),
                                          -grad[shift])
                 direction[shift[ok]] = x[ok]
                 factored[shift[ok]] = True
@@ -243,41 +236,33 @@ def fit_erm_stacked(
         # cleanly factorizable Hessian and a small Newton step as well.
         step_ok = np.sqrt(_dot(direction, direction)) <= 1e-6 * (1.0 + np.sqrt(_dot(th, th)))
         converged = (gnorm <= tol) & clean & step_ok
-
-        def stop(i):
-            running[act[i]] = False
-            reports[act[i]] = FitReport(th[i].copy(), float(gnorm[i]), iterations,
-                                        bool(converged[i]))
-
-        capped = iterations >= max_iter
-        if not capped:
-            singular.extend(act[~factored].tolist())
-            running[act[~factored]] = False
-        for i in np.flatnonzero(running[act] & (converged | capped)):
-            stop(i)
-        search = np.flatnonzero(running[act])
+        gnorms[act], passes[act], certified[act] = gnorm, iterations, converged
+        singular[act] = ~factored & (iterations < max_iter)
+        search = np.flatnonzero(factored & ~converged & (iterations < max_iter))
         slope = _dot(grad, direction)
         ascent = slope >= 0  # not a descent direction; fall back to steepest descent
         direction[ascent] = -grad[ascent]
         slope[ascent] = -gnorm[ascent] * gnorm[ascent]
-        step = np.ones(act.size)
+        step = 1.0  # one length: the slices still searching have all halved it as often
+        moved = np.zeros(act.size, dtype=bool)
         for _ in range(60):
             if not search.size:
                 break
-            cand = th[search] + step[search, None] * direction[search]
+            cand = th[search] + step * direction[search]
             cand_risk = _risk(_rows(Xa, search), _rows(ya, search), model, cand)
-            accept = cand_risk <= risk_a[search] + _ARMIJO_C1 * step[search] * slope[search]
+            accept = cand_risk <= risk[act[search]] + _ARMIJO_C1 * step * slope[search]
             theta[act[search[accept]]] = cand[accept]
             risk[act[search[accept]]] = cand_risk[accept]
+            moved[search[accept]] = True
             search = search[~accept]
-            step[search] *= _ARMIJO_BETA
-        for i in search:  # line search exhausted
-            stop(i)
-        act = np.flatnonzero(running)
+            step *= _ARMIJO_BETA
+        act = act[moved]
         iterations += 1
-    if singular:
-        raise SingularHessianError("Hessian is numerically singular", index=min(singular),
-                                   reports=reports[:min(singular)])
+    reports = list(map(FitReport, theta, gnorms.tolist(), passes.tolist(), certified.tolist()))
+    if singular.any():
+        index = int(np.argmax(singular))
+        raise SingularHessianError("Hessian is numerically singular", index=index,
+                                   reports=reports[:index])
     return reports
 
 
@@ -301,22 +286,25 @@ def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) ->
 
     Every system gets the LAPACK calls of a lone 2-D solve
     (``_cho_solve_stack``), so a slice of the stack equals its own solve
-    bitwise.  A singular system (at penalty 0, any with n < p) or a non-finite
-    solution (NaN or inf data) raises ``RankError`` naming the lowest one.
+    bitwise.  A singular system (at penalty 0, any with n < p), a non-finite
+    one (NaN or inf data) or a non-finite solution raises ``RankError`` naming
+    the lowest one, with a text of its own for a non-finite system.
     """
     if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
     p = G.shape[-1]
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite solution fails below
-        a = G / n + penalty * np.eye(p)
-        b = b / n
-    theta, ok = _cho_solve_stack(a.reshape(-1, p, p), b.reshape(-1, p))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite system fails below
+        a = (G / n + penalty * np.eye(p)).reshape(-1, p, p)
+        b = (b / n).reshape(-1, p)
+    theta, ok = _cho_solve_stack(a, b)
     ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
     ok &= penalty > 0 or n >= p  # rank(G) <= n: singular however G rounds
     if not ok.all():
-        raise RankError("normal equations are singular (rank-deficient design)",
-                        index=int(np.argmin(ok)))
-    return theta.reshape(a.shape[:-1])
+        i = int(np.argmin(ok))
+        finite = np.isfinite(a[i]).all() and np.isfinite(b[i]).all()
+        raise RankError("normal equations are singular (rank-deficient design)" if finite else
+                        "normal equations are not finite (NaN or inf in the data)", index=i)
+    return theta.reshape(G.shape[:-1])
 
 
 def _normal_stats(X: np.ndarray, y: np.ndarray):
@@ -329,6 +317,8 @@ def _normal_stats(X: np.ndarray, y: np.ndarray):
 def fit_closed_stacked(X: np.ndarray, y: np.ndarray, penalty: float = 0.0) -> np.ndarray:
     """Closed-form (X'X/n + penalty I)^-1 X'y/n for a stack of designs X (..., n, p) and
     responses y (..., n): ``_solve_normal`` of their Grams, shape (..., p)."""
+    if X.shape[-1] < 1:
+        raise ConfigError("designs must have p >= 1 columns")
     return _solve_normal(*_normal_stats(X, y), X.shape[-2], penalty)
 
 

@@ -143,8 +143,8 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ConfigError("X must be n x p and y length n")
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0] or min(X.shape) < 1:
+            raise ConfigError("X must be n x p with n, p >= 1 and y length n")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 

@@ -16,6 +16,7 @@ from splitavg import (
     fit_closed,
     fit_closed_stacked,
     fit_erm,
+    fit_erm_stacked,
     ridge_population_target,
     sample_dataset,
     sandwich_covariance,
@@ -195,6 +196,39 @@ def test_underdetermined_rank_error():
     X = rng.standard_normal((3, 5))
     with pytest.raises(RankError):
         fit_closed(Dataset(X, rng.standard_normal(3)), 0.0)
+
+
+def test_empty_sample_is_rejected_before_the_fit():
+    with pytest.raises(ConfigError, match="n, p >= 1"):
+        fit_erm(Dataset(np.zeros((0, 3)), np.zeros(0)), ModelSpec.logistic())
+
+
+def test_stacked_fit_rejects_empty_samples():
+    # no numpy warning either: the suite turns warnings into errors
+    with pytest.raises(ConfigError, match="n, p >= 1"):
+        fit_erm_stacked(np.zeros((2, 0, 3)), np.zeros((2, 0)), ModelSpec.nonlinear_ls(), tol=1e-6)
+
+
+def test_stacked_fit_rejects_designs_without_columns():
+    with pytest.raises(ConfigError, match="n, p >= 1"):
+        fit_erm_stacked(np.zeros((2, 5, 0)), np.zeros((2, 5)), ModelSpec.logistic())
+    assert fit_erm_stacked(np.zeros((0, 5, 3)), np.zeros((0, 5)), ModelSpec.logistic()) == []
+
+
+def test_closed_form_rejects_designs_without_columns():
+    with pytest.raises(ConfigError, match="n, p >= 1"):
+        fit_closed(Dataset(np.zeros((5, 0)), np.zeros(5)))
+    with pytest.raises(ConfigError, match="p >= 1"):
+        fit_closed_stacked(np.zeros((2, 5, 0)), np.zeros((2, 5)))
+
+
+def test_exp_link_slice_without_positive_responses_starts_at_zero():
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((2, 20, 3))
+    y = np.stack([np.exp(X[0] @ [0.2, 0.1, -0.3]), -np.ones(20)])
+    start = fit_erm_stacked(X, y, ModelSpec.nonlinear_ls(), max_iter=0)
+    assert start[0].theta_hat.tobytes() == fit_closed(Dataset(X[0], np.log(y[0]))).tobytes()
+    assert start[1].theta_hat.tobytes() == np.zeros(3).tobytes()
 
 
 def test_ridge_population_target_values():

@@ -149,6 +149,60 @@ def test_singular_slice_raises_with_the_fits_below_it():
     assert [(r.iterations, r.converged) for r in capped[1::2]] == [(0, False), (0, False)]
 
 
+# (iterations, converged, float.hex(grad_norm), theta digest) of every report,
+# frozen from the loop as it stood before its one stop rule, so that a change
+# to fit_erm_stacked and fit_erm together still has to reproduce them:
+# - logistic: a slice that converges, a separable one that runs into the
+#   iteration cap and a far start whose line search fails at the first pass;
+# - nls: the Levenberg-shift shards of the test above;
+# - ols_singular: the fit below _singular_stack's raised index 1.
+FROZEN_STOPS = {
+    "logistic": [(6, True, "0x1.3b17a200f75aep-34", "50b8bfcb3219e5f7"),
+                 (200, False, "0x1.06658673b4820p-59", "acac396ea60e3030"),
+                 (0, False, "0x1.fa57b70699658p-4", "1ab4c6685ce968a4")],
+    "nls": [(8, True, "0x1.64fd24f5064bap-39", "e1b3c1c32f9e31e7"),
+            (8, True, "0x1.4e25bb0bc067fp-26", "03f832c7c6395184"),
+            (5, True, "0x1.972d52d862fc6p-21", "065eadfc373254cd"),
+            (8, True, "0x1.4b4b22ed4cd3ep-36", "e7bf5735b908c2f1"),
+            (9, True, "0x1.184b9470b2aebp-34", "c999f61b8f5167c2"),
+            (7, True, "0x1.f18f208069e2ap-22", "24f5dc3cb739d187"),
+            (9, True, "0x1.7d4b03c0e02c5p-34", "c7aa113e639875b6"),
+            (8, True, "0x1.9e0fbfcc3263ep-40", "3562924b209b70e5")],
+    "ols_singular": [(1, True, "0x1.7a19f2dd5c4f4p-53", "ffbad00025e9058c")],
+}
+
+
+def _pins(reports):
+    return [(r.iterations, r.converged, float(r.grad_norm).hex(), _digest(r.theta_hat))
+            for r in reports]
+
+
+def test_logistic_stop_causes_match_frozen_reports():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((3, 60, 2))
+    y = np.stack([(rng.random(60) < 1 / (1 + np.exp(-X[0] @ [1.0, -0.5]))).astype(float),
+                  (X[1] @ [1.0, 1.0] > 0).astype(float),
+                  (rng.random(60) < 1 / (1 + np.exp(-X[2] @ [1.0, -0.5]))).astype(float)])
+    init = np.zeros((3, 2))
+    init[2] = [1000.0, -1000.0]
+    reports = fit_erm_stacked(X, y, ModelSpec.logistic(), init=init)
+    assert _pins(reports) == FROZEN_STOPS["logistic"]
+
+
+def test_levenberg_shift_stack_matches_frozen_reports():
+    model, shards = _shards("nls", "gaussian10", 3, n=30, m=8)
+    reports = fit_erm_stacked(*_stack(shards), model, tol=1e-6)
+    assert _pins(reports) == FROZEN_STOPS["nls"]
+
+
+def test_singular_stack_matches_frozen_reports():
+    X, y = _singular_stack(np.random.default_rng(5))
+    with pytest.raises(SingularHessianError) as info:
+        fit_erm_stacked(X, y, ModelSpec.ols())
+    assert info.value.index == 1
+    assert _pins(info.value.reports) == FROZEN_STOPS["ols_singular"]
+
+
 def test_cholesky_kernel_matches_scipy_and_flags_failures():
     rng = np.random.default_rng(2)
     g = rng.standard_normal((3, 6, 4))

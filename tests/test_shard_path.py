@@ -209,5 +209,5 @@ def test_non_finite_shard_is_named(model, bad):
             parallel._shard_fits(Dataset(X, d.y), cfg)
     assert info.value.machine_index == 5
     assert type(info.value.__cause__) is RankError
-    assert str(info.value) == ("machine 5 failed: normal equations are singular "
-                               "(rank-deficient design)")
+    assert str(info.value) == ("machine 5 failed: normal equations are not finite "
+                               "(NaN or inf in the data)")
