@@ -286,12 +286,15 @@ def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) ->
 
     Every system gets the LAPACK calls of a lone 2-D solve
     (``_cho_solve_stack``), so a slice of the stack equals its own solve
-    bitwise.  A singular system (at penalty 0, any with n < p), a non-finite
-    one (NaN or inf data) or a non-finite solution raises ``RankError`` naming
-    the lowest one, with a text of its own for a non-finite system.
+    bitwise.  An empty design (n = 0), a singular system (at penalty 0, any
+    with n < p), a non-finite one (NaN or inf data) or a non-finite solution
+    raises ``RankError`` naming the lowest one, with a text of its own for an
+    empty design and for a non-finite system.
     """
     if not penalty >= 0:
         raise ConfigError("penalty must be >= 0")
+    if n == 0:  # G/n would be 0/0, which reads as non-finite data
+        raise RankError("normal equations have no rows (empty design, n = 0)")
     p = G.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite system fails below
         a = (G / n + penalty * np.eye(p)).reshape(-1, p, p)

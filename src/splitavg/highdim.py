@@ -399,14 +399,15 @@ def absolute_series(noise: NoiseDist, kappa_grid=None,
                     q: QuadratureSpec | None = None) -> tuple[float, float]:
     """Fit r^2(kappa) = r1 kappa + r2 kappa^2 for the absolute loss on a small grid.
 
-    The grid must sit in (0, 0.1]; the default stays below 0.01 where the
-    quadratic model is a good description for gaussian noise.
+    The grid must hold >= 4 distinct points in (0, 0.1]; the default stays
+    below 0.01 where the quadratic model is a good description for gaussian
+    noise.
     """
     if kappa_grid is None:
         kappa_grid = np.geomspace(1e-3, 8e-3, 5)
     kappa_grid = np.asarray(sorted(float(k) for k in kappa_grid))
-    if len(kappa_grid) < 4:
-        raise ConfigError("kappa_grid needs >= 4 points")
+    if len(set(kappa_grid)) < 4:
+        raise ConfigError("kappa_grid needs >= 4 distinct points")
     if kappa_grid[0] <= 0 or kappa_grid[-1] > 0.1:
         raise ConfigError("kappa_grid must lie in (0, 0.1]")
     # the quadratic fit amplifies the solver error, so solve well past the default tol
@@ -419,6 +420,8 @@ def absolute_series(noise: NoiseDist, kappa_grid=None,
 
 def mse_ratio_first_order(kappa: float, m: int, coeffs: PerturbCoeffs) -> float:
     """Leading-order accuracy loss of averaging: 1 + kappa (r2/r1) (1 - 1/m)."""
+    if not 0.0 < kappa < 1.0:
+        raise ConfigError("kappa must be in (0, 1)")
     if m < 1:
         raise ConfigError("m must be >= 1")
     return 1.0 + kappa * coeffs.ratio * (1.0 - 1.0 / m)

@@ -27,8 +27,8 @@ from .errors import ConfigError
 from .estimator import (ModelSpec, _solve_normal, fit_closed_stacked, fit_erm_stacked,
                         population_target)
 from .estimator import fit_erm  # unused here; bench/tracing.py wraps oracles.fit_erm
-from .model import (GenerativeConfig, _covariance, _draw, _gaussian, _gram_draw, _rng,
-                    sample_dataset)
+from .model import GenerativeConfig, _covariance, _draw, _gaussian, _gram_draw, _rng
+from .model import sample_dataset  # unused here; bench/tracing.py wraps oracles.sample_dataset
 
 FIRST_KIND_IDS = ("E_S", "E_SBS", "E_SBS2BS")
 SECOND_KIND_IDS = (
@@ -220,26 +220,13 @@ class MomentFitResult:
     fit_residual_mse: float = 0.0
 
 
-def _seeded_designs(cfg, c, n, rng):
-    """Designs (c, n, p) and responses (c, n) of c ``sample_dataset`` draws seeded from rng.
-
-    Each dataset is copied into the stack as it is drawn, so a pass holds
-    its designs once.
-    """
-    X, y = np.empty((c, n, cfg.p)), np.empty((c, n))
-    for r in range(c):
-        d = sample_dataset(cfg, n, int(rng.integers(0, 2 ** 63 - 1)))
-        X[r], y[r] = d.X, d.y
-    return X, y
-
-
 def _errors(cfg, model, n, reps, rng):
     """Errors of ``reps`` fits at size n, one stacked fit per chunk of replications.
 
     OLS and ridge under Gaussian noise solve exact (X'X, X'y) draws, a
     replication being a row of p^2 Bartlett-factor elements; every other fit
-    draws its designs, a row of n p elements.  Warns once with the count of
-    Newton fits that did not converge.
+    draws its chunk's designs with ``_draw``, a row of n p elements.  Warns
+    once with the count of Newton fits that did not converge.
     """
     target = population_target(cfg, model)
     exact = model.is_closed_form and cfg.noise.kind == "gaussian"
@@ -247,17 +234,15 @@ def _errors(cfg, model, n, reps, rng):
     fits, failed = [], 0
     for done in range(0, reps, chunk):
         c = min(chunk, reps - done)
+        # no names for the draws: a chunk's design is freed before the next is drawn
         if exact:
             fits.append(_solve_normal(*_gram_draw(cfg, c, n, rng), n, model.penalty))
-            continue
-        if model.is_closed_form:
-            # no names for the draws: a chunk's design is freed before the next is drawn
+        elif model.is_closed_form:
             fits.append(fit_closed_stacked(*_draw(cfg, (c, n), rng), model.penalty))
-            continue
-        reports = fit_erm_stacked(*_seeded_designs(cfg, c, n, rng), model, init=target,
-                                  tol=1e-8)
-        fits.append([r.theta_hat for r in reports])
-        failed += sum(not r.converged for r in reports)
+        else:
+            reports = fit_erm_stacked(*_draw(cfg, (c, n), rng), model, init=target, tol=1e-8)
+            fits.append([r.theta_hat for r in reports])
+            failed += sum(not r.converged for r in reports)
     if failed:
         warnings.warn(f"{failed} of {reps} Newton fits did not converge at n = {n} "
                       "and are averaged in as they stopped", RuntimeWarning)

@@ -231,6 +231,14 @@ def test_unwritable_out_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_table1_repeated_kappa_exits_one(tmp_path, capsys):
+    # four copies of one kappa once printed r2_over_r1 = 0.001 and exited 0
+    out = tmp_path / "t.csv"
+    assert main(["table1", "--kappa-grid", "1e-3,1e-3,1e-3,1e-3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: kappa_grid needs >= 4 distinct points\n"
+    assert not out.exists()
+
+
 _PLAN_N = ["plan", "--mode", "fixed-N", "--N", "1e6", "--p", "100", "--sigma2", "10"]
 
 

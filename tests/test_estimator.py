@@ -99,6 +99,15 @@ def test_stacked_rank_error_names_the_lowest_singular_system():
     assert info.value.index == 0
 
 
+@pytest.mark.parametrize("penalty", [0.0, 1.0])
+def test_empty_design_is_named_before_any_division(penalty):
+    # G/n at n = 0 is 0/0, which read as NaN data; RankError keeps the
+    # exp-link start's fallback to zero for a slice with no positive response
+    with pytest.raises(RankError, match=r"empty design, n = 0") as info:
+        fit_closed_stacked(np.zeros((0, 3)), np.zeros(0), penalty)
+    assert info.value.index == 0
+
+
 def test_erm_matches_closed_form_ols_and_ridge():
     d, _ = _data()
     for lam in (0.0, 0.5):

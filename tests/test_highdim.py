@@ -302,6 +302,11 @@ def test_absolute_series_grid_validation():
         absolute_series(GAUSS1, kappa_grid=[0.01, 0.02, 0.03])
     with pytest.raises(ConfigError):
         absolute_series(GAUSS1, kappa_grid=[0.02, 0.05, 0.08, 0.2])
+    # four copies of one kappa fit nothing: the points must be distinct
+    with pytest.raises(ConfigError, match="4 distinct"):
+        absolute_series(GAUSS1, kappa_grid=[1e-3] * 4)
+    with pytest.raises(ConfigError, match="4 distinct"):
+        absolute_series(GAUSS1, kappa_grid=[1e-3, 2e-3, 2e-3, 4e-3, 4e-3])
 
 
 def test_mse_ratio_first_order_examples():
@@ -309,6 +314,14 @@ def test_mse_ratio_first_order_examples():
     assert mse_ratio_first_order(0.2, 1, pc) == 1.0
     assert mse_ratio_first_order(0.2, 10, pc) == pytest.approx(1.18)
     assert mse_ratio_first_order(0.2, 10 ** 9, pc) == pytest.approx(1.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.5, -0.1, float("nan")])
+def test_mse_ratio_first_order_rejects_kappa_outside_unit_interval(kappa):
+    # as solve_rc does: the law is a statement about 0 < p/n < 1
+    pc = perturb_coeffs(LossSpec.squared(), GAUSS1)
+    with pytest.raises(ConfigError, match="kappa"):
+        mse_ratio_first_order(kappa, 10, pc)
 
 
 def test_mse_ratio_exact_squared():

@@ -1,6 +1,7 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
-parse, README names resolve, importing the package leaves scipy's heavy subpackages out.
+parse, README names resolve, only the model module draws random numbers, importing the
+package leaves scipy's heavy subpackages out.
 Also the Python scripts under scripts/ run and reach what they print."""
 
 import ast
@@ -132,6 +133,56 @@ def test_every_exported_function_is_called_outside_its_module():
                 callers[name].add(path.resolve())
     uncalled = sorted(name for name, paths in callers.items() if not paths - {functions[name]})
     assert not uncalled, f"exported but never called outside their module: {uncalled}"
+
+
+# the numpy Generator methods that draw numbers; spawn only derives child generators
+SAMPLERS = {name for name in dir(np.random.Generator)
+            if not name.startswith("_") and name not in ("bit_generator", "spawn")}
+
+
+def _calls_by_function(node, owner=None):
+    """(innermost enclosing function name, call) for every call; None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls_by_function(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield owner, child
+        yield from _calls_by_function(child, owner)
+
+
+def _resolve(module, node):
+    """The object a name or dotted name stands for in a module's namespace, else None."""
+    if isinstance(node, ast.Name):
+        return getattr(module, node.id, None)
+    if isinstance(node, ast.Attribute):
+        return getattr(_resolve(module, node.value), node.attr, None)
+    return None
+
+
+def test_only_the_model_module_draws_random_numbers():
+    # one draw rule: every random number in the package comes from splitavg.model
+    # (_draw, _gram_draw, _gaussian, sample_noise, split_uniform); the one other
+    # draw is the random symmetric B that wishart-check tests at each p
+    allowed = {("cli", "_run_wishart_check", "standard_normal")}
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "model":
+            continue
+        module = importlib.import_module(
+            "splitavg" if path.stem == "__init__" else f"splitavg.{path.stem}")
+        for owner, call in _calls_by_function(ast.parse(path.read_text())):
+            func = call.func
+            if not isinstance(func, ast.Attribute) or func.attr not in SAMPLERS:
+                continue
+            # a class's constructor (NoiseDist.laplace) or a module's function
+            # (np.power) shares a name with a sampler; np.random's do draw
+            receiver = _resolve(module, func.value)
+            if inspect.isclass(receiver) or (inspect.ismodule(receiver)
+                                             and receiver is not np.random):
+                continue
+            found.add((path.stem, owner, func.attr))
+    assert found == allowed, f"random draws outside splitavg.model: {sorted(found)}"
 
 
 def test_importing_the_package_loads_no_scipy_optimize_or_integrate():
