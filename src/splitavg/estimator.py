@@ -124,15 +124,27 @@ def _grad_hess(X: np.ndarray, y: np.ndarray, model: ModelSpec, theta: np.ndarray
 
 def _default_init(X: np.ndarray, y: np.ndarray, model: ModelSpec) -> np.ndarray:
     """Newton starts (k, p) for a stack: zero, or on the exp link the OLS fit of log y
-    on a slice's positive responses where that fit exists."""
+    on a slice's positive responses where that fit exists.
+
+    The fits of all slices are one ``_normal_solutions`` call, each slice with
+    its own count n_i of positive responses as divisor, so every start equals
+    ``fit_closed_stacked`` of that slice bitwise.  A slice with fewer than p
+    positive responses, or whose system does not factor or whose solution is
+    not finite, starts at zero.
+    """
     theta = np.zeros(X.shape[::2])
-    if model.link == "exp_nonlinear":
-        for i, (X_i, y_i) in enumerate(zip(X, y)):
-            pos = y_i > 0
-            try:  # fewer than p positive responses, or none, raise too
-                theta[i] = fit_closed_stacked(X_i[pos], np.log(y_i[pos]))
-            except RankError:
-                pass
+    if model.link != "exp_nonlinear":
+        return theta
+    k, p = theta.shape
+    G, b, counts = np.zeros((k, p, p)), np.zeros((k, p)), np.zeros(k, dtype=int)
+    for i, (X_i, y_i) in enumerate(zip(X, y)):
+        pos = y_i > 0
+        counts[i] = np.count_nonzero(pos)
+        if counts[i] >= p:  # fewer rows leave the system singular
+            G[i], b[i] = _normal_stats(X_i[pos], np.log(y_i[pos]))
+    fit = np.flatnonzero(counts >= p)
+    fits, ok = _normal_solutions(G[fit], b[fit], counts[fit])
+    theta[fit[ok]] = fits[ok]
     return theta
 
 
@@ -295,19 +307,30 @@ def _solve_normal(G: np.ndarray, b: np.ndarray, n: int, penalty: float = 0.0) ->
         raise ConfigError("penalty must be >= 0")
     if n == 0:  # G/n would be 0/0, which reads as non-finite data
         raise RankError("normal equations have no rows (empty design, n = 0)")
-    p = G.shape[-1]
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite system fails below
-        a = (G / n + penalty * np.eye(p)).reshape(-1, p, p)
-        b = (b / n).reshape(-1, p)
-    theta, ok = _cho_solve_stack(a, b)
-    ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
-    ok &= penalty > 0 or n >= p  # rank(G) <= n: singular however G rounds
+    theta, ok = _normal_solutions(G, b, n, penalty)
     if not ok.all():
-        i = int(np.argmin(ok))
-        finite = np.isfinite(a[i]).all() and np.isfinite(b[i]).all()
+        i, p = int(np.argmin(ok)), G.shape[-1]
+        G_i, b_i = G.reshape(-1, p, p)[i], b.reshape(-1, p)[i]
+        finite = np.isfinite(G_i).all() and np.isfinite(b_i).all()
         raise RankError("normal equations are singular (rank-deficient design)" if finite else
                         "normal equations are not finite (NaN or inf in the data)", index=i)
     return theta.reshape(G.shape[:-1])
+
+
+def _normal_solutions(G: np.ndarray, b: np.ndarray, n: int | np.ndarray, penalty: float = 0.0):
+    """Solutions (k, p) of (G/n + penalty I) theta = b/n over a flattened stack of k
+    systems, and the mask of those that hold; ``n`` is one row count or one per
+    system, shape (k,).  A system fails if it does not factor, its solution is
+    not finite or, at penalty 0, it has n < p rows."""
+    p = G.shape[-1]
+    n = np.asarray(n)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite system fails below
+        a = (G / n[..., None, None] + penalty * np.eye(p)).reshape(-1, p, p)
+        b = (b / n[..., None]).reshape(-1, p)
+    theta, ok = _cho_solve_stack(a, b)
+    ok &= np.isfinite(theta).all(-1)  # dpotrf reports success on a NaN matrix
+    ok &= (penalty > 0) | (n >= p)  # rank(G) <= n: singular however G rounds
+    return theta, ok
 
 
 def _normal_stats(X: np.ndarray, y: np.ndarray):

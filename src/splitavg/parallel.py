@@ -1,8 +1,13 @@
 """Split-and-average protocol and the seeded replication engine.
 
-A replication samples N i.i.d. points, fits the centralized estimator, hands
-machine j the rows j n ... (j + 1) n - 1, fits each shard, and averages.  The
-rows are exchangeable, so these blocks are a uniformly random split in law.
+A replication samples N i.i.d. points, hands machine j the rows
+j n ... (j + 1) n - 1, fits each shard, averages, and fits the centralized
+estimator.  OLS/ridge solve the centre first, from the sums of the shards'
+normal statistics.  Newton models fit the shards first and start the centre
+at their average, within O(1/n) of it; that fit falls back to the default
+start if it fails, and after a shard failure the centre is fitted from the
+default start and its failure raised first.  The rows are exchangeable, so
+these blocks are a uniformly random split in law.
 Per-replication seeds derive from (base_seed, rep) alone, so summaries are
 invariant to execution order and to any parallel schedule.
 """
@@ -104,13 +109,25 @@ def _unconverged(report: FitReport) -> SplitAvgError:
     return SplitAvgError(f"fit did not converge (grad norm {report.grad_norm:.2e})")
 
 
-def _central_fit(d: Dataset, cfg: ExperimentConfig):
-    """The fit to all N points, and the OLS/ridge shard statistics whose sums it solves."""
+def _central_fit(d: Dataset, cfg: ExperimentConfig, init: np.ndarray | None = None):
+    """The fit to all N points, and the OLS/ridge shard statistics whose sums it solves.
+
+    A Newton fit starts at ``init`` if given.  If that fit raises or does not
+    converge, it is retried once from the default start, and only the retry's
+    failure is raised: a start can add no failure.
+    """
     if cfg.model.is_closed_form:
         stats = _normal_stats(d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n))
         with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums fail in the solve
             G, b = stats[0].sum(0), stats[1].sum(0)
         return _solve_normal(G, b, cfg.N, cfg.model.penalty), stats
+    if init is not None:
+        try:
+            report = fit_erm(d, cfg.model, init=init, tol=_NEWTON_TOL)
+            if report.converged:
+                return report.theta_hat, None
+        except SplitAvgError:
+            pass  # retried from the default start below
     report = fit_erm(d, cfg.model, tol=_NEWTON_TOL)
     if not report.converged:
         raise _unconverged(report)
@@ -151,11 +168,22 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     if not 0 <= rep < cfg.replications:
         raise ConfigError(f"rep must be in [0, {cfg.replications})")
     d = sample_dataset(cfg.gen, cfg.N, _rep_seed(cfg.base_seed, rep))
-    theta_central, stats = _central_fit(d, cfg)
-    # m = 1: the single shard is the full dataset, already fitted, so
-    # theta_bar is bitwise equal to theta_central.
-    theta_bar = average_estimate([theta_central] if cfg.m == 1
-                                 else _shard_fits(d, cfg, stats))
+    if cfg.m == 1 or cfg.model.is_closed_form:
+        theta_central, stats = _central_fit(d, cfg)
+        # m = 1: the single shard is the full dataset, already fitted, so
+        # theta_bar is bitwise equal to theta_central.
+        theta_bar = average_estimate([theta_central] if cfg.m == 1
+                                     else _shard_fits(d, cfg, stats))
+    else:
+        # Newton: the shards first, then the centre from their average, which
+        # lies within O(1/n) of it.  After a shard failure the centre is fitted
+        # from its default start, and its own failure is raised first.
+        try:
+            theta_bar = average_estimate(_shard_fits(d, cfg))
+        except MachineFitError:
+            _central_fit(d, cfg)
+            raise
+        theta_central = _central_fit(d, cfg, init=theta_bar)[0]
     target = cfg.theta_star()
     return ReplicationResult(
         theta_bar=theta_bar,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import splitavg.estimator as est
+
 from splitavg import (
     ConfigError,
     Dataset,
@@ -238,6 +240,41 @@ def test_exp_link_slice_without_positive_responses_starts_at_zero():
     start = fit_erm_stacked(X, y, ModelSpec.nonlinear_ls(), max_iter=0)
     assert start[0].theta_hat.tobytes() == fit_closed(Dataset(X[0], np.log(y[0]))).tobytes()
     assert start[1].theta_hat.tobytes() == np.zeros(3).tobytes()
+
+
+def _per_slice_starts(X, y):
+    """The exp-link starts one fit_closed_stacked call per slice would give."""
+    starts = np.zeros(X.shape[::2])
+    for i, (X_i, y_i) in enumerate(zip(X, y)):
+        pos = y_i > 0
+        try:
+            starts[i] = fit_closed_stacked(X_i[pos], np.log(y_i[pos]))
+        except RankError:
+            pass
+    return starts
+
+
+def test_exp_link_starts_equal_per_slice_closed_form_fits_bitwise():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((8, 30, 4))
+    y = np.exp(X @ [0.3, -0.2, 0.1, 0.4] + 0.5 * rng.standard_normal((8, 30)))
+    y[1] = -rng.random(30)  # no positive response
+    y[2, 3:] = 0.0  # fewer than p positives
+    y[3, :4] *= -1.0  # p positives exactly
+    X[4, :, 2] = 2.0 * X[4, :, 1]  # collinear
+    X[5, 7, 0] = np.nan  # NaN system
+    X[6, 0, 3] = 1e200  # overflowing system
+    y[7, ::2] *= -1.0  # half the responses
+    starts = est._default_init(X, y, ModelSpec.nonlinear_ls())
+    assert starts.tobytes() == _per_slice_starts(X, y).tobytes()
+    assert not starts[[1, 2, 4, 5, 6]].any() and starts[[0, 3, 7]].all()
+    gen = GenerativeConfig(p=10, theta0=np.full(10, 0.3), noise=NoiseDist.gaussian(10.0),
+                           link="exp_nonlinear")
+    for seed in range(5):  # the ratio-sweep shard stacks
+        d = sample_dataset(gen, 2000, seed)
+        X, y = d.X.reshape(10, 200, 10), d.y.reshape(10, 200)
+        starts = est._default_init(X, y, ModelSpec.nonlinear_ls())
+        assert starts.tobytes() == _per_slice_starts(X, y).tobytes()
 
 
 def test_ridge_population_target_values():

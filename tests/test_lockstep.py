@@ -10,6 +10,7 @@ from scipy.linalg.lapack import dpotrf as sp_potrf
 
 import splitavg.estimator as est
 import splitavg.oracles as oracles
+import splitavg.parallel as parallel
 from splitavg import (
     Dataset,
     ExperimentConfig,
@@ -235,30 +236,67 @@ def test_sandwich_factors_once_and_matches_scipy(monkeypatch, model):
     assert cov.tobytes() == ((ref + ref.T) / 2.0).tobytes()
 
 
-# theta_bar/theta_central digests of replications 0-3 (p=10, N=2000, m=10,
-# base_seed=17); each theta_bar equals the one-by-one fit_erm fits of the
-# sample's row blocks (conftest's shard_loop)
-FROZEN_REPLICATIONS = {
-    ("logistic", "gaussian10"): ["3686326bdf1b781a", "e63cff6f10001b2b",
-                                 "045c809a262676b7", "c71e9d861f7ee72b"],
-    ("nls", "gaussian10"): ["eb9e31ae2b72c138", "3acf3a5e769acdd1",
-                            "a564c76bc83efeb7", "a341ede0403d6802"],
-    ("nls", "laplace1"): ["ddd873404b01c00e", "f087ff72de0afa20",
-                          "10f9fca0a194163e", "5e385b21a2371f45"],
+# Digests of replications 0-3 (p=10, N=2000, m=10, base_seed=17).
+# FROZEN_THETA_BAR: each theta_bar equals the one-by-one fit_erm fits of the
+# sample's row blocks (conftest's shard_loop); a central fit from the old
+# default start left them all unchanged.
+FROZEN_THETA_BAR = {
+    ("logistic", "gaussian10"): ["0f3d149a3c6cf465", "0e1c8a04abaaf1ae",
+                                 "6e9e022fd3529f30", "8166cd87de25e21f"],
+    ("nls", "gaussian10"): ["dd6676856fbee33f", "a346e4f83e396444",
+                            "ff4cfe5944786086", "47cb5f2de1beef7d"],
+    ("nls", "laplace1"): ["16b621f1b019bdf1", "bcedae12786a8bf6",
+                          "989d5df0d2d159aa", "063a699349f73fd4"],
+}
+# FROZEN_THETA_CENTRAL: the central fits started at theta_bar.  They lie
+# within the bound of test_warm_central_fit_is_within_tolerance_of_cold_fit
+# of the fits from the default start.
+FROZEN_THETA_CENTRAL = {
+    ("logistic", "gaussian10"): ["ee6a5732fb9a6df5", "a858cf9f61cb3deb",
+                                 "f5cfa7ce9a394f0c", "39f1c067422bc71e"],
+    ("nls", "gaussian10"): ["bb28c3a5de5c0923", "993f8d335c0ef22c",
+                            "c35719051f5a323b", "8776dd1e1d9156aa"],
+    ("nls", "laplace1"): ["24138cf181a5268d", "332a7ca9080fd451",
+                          "d52c2e7a60f262ed", "33bd15be881d015e"],
 }
 
 
-@pytest.mark.parametrize("model_name,noise_name", sorted(FROZEN_REPLICATIONS))
-def test_replications_match_frozen_shard_loop(model_name, noise_name):
+def _frozen_cfg(model_name, noise_name):
     model = MODELS[model_name]
     gen = GenerativeConfig(p=P, theta0=THETA0, noise=NOISES[noise_name], link=model.link)
-    cfg = ExperimentConfig(gen=gen, model=model, N=N_SHARD * M, m=M, replications=4,
-                           base_seed=17)
-    got = []
+    return ExperimentConfig(gen=gen, model=model, N=N_SHARD * M, m=M, replications=4,
+                            base_seed=17)
+
+
+@pytest.mark.parametrize("model_name,noise_name", sorted(FROZEN_THETA_BAR))
+def test_replications_match_frozen_shard_loop(model_name, noise_name):
+    cfg = _frozen_cfg(model_name, noise_name)
+    results = [run_replication(cfg, r) for r in range(4)]
+    assert [_digest(res.theta_bar) for res in results] == \
+        FROZEN_THETA_BAR[(model_name, noise_name)]
+    assert [_digest(res.theta_central) for res in results] == \
+        FROZEN_THETA_CENTRAL[(model_name, noise_name)]
+
+
+@pytest.mark.parametrize("model_name,noise_name", sorted(FROZEN_THETA_BAR))
+def test_warm_central_fit_is_within_tolerance_of_cold_fit(model_name, noise_name):
+    # Both fits are certified: |grad| <= tol.  Where the empirical Hessian is
+    # >= lam I between them, |grad(a) - grad(b)| >= lam |a - b|, so the two
+    # minimizer estimates lie within 2 tol / lam, lam the smaller of the
+    # Hessians' least eigenvalues at the two fits.
+    cfg = _frozen_cfg(model_name, noise_name)
+    tol = parallel._NEWTON_TOL
     for r in range(4):
         res = run_replication(cfg, r)
-        got.append(_digest(res.theta_bar, res.theta_central))
-    assert got == FROZEN_REPLICATIONS[(model_name, noise_name)]
+        d = sample_dataset(cfg.gen, cfg.N, parallel._rep_seed(cfg.base_seed, r))
+        cold = fit_erm(d, cfg.model, tol=tol)
+        warm = fit_erm(d, cfg.model, init=res.theta_bar, tol=tol)
+        assert cold.converged and warm.converged
+        assert res.theta_central.tobytes() == warm.theta_hat.tobytes()
+        lam = min(np.linalg.eigvalsh(est._grad_hess(d.X, d.y, cfg.model, fit.theta_hat)[1])[0]
+                  for fit in (cold, warm))
+        assert np.linalg.norm(warm.theta_hat - cold.theta_hat) <= 2 * tol / lam
+        assert warm.iterations < cold.iterations
 
 
 def test_lowest_failing_machine_is_named(shard_loop):

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 import splitavg.parallel as parallel
 from splitavg import (
     ConfigError,
+    Dataset,
     ExperimentConfig,
+    FitReport,
     GenerativeConfig,
     MachineFitError,
     ModelSpec,
     NoiseDist,
     RankError,
     ReplicationResult,
+    SingularHessianError,
     SplitAvgError,
     average_estimate,
+    fit_erm,
     population_target,
     run_experiment,
     run_replication,
@@ -256,3 +260,66 @@ def test_summarize_ratio_over_exact_central_fit_is_infinite():
     s = summarize([make(1.0, 0.0), make(1.0, 0.0)])
     assert s.median_ratio == np.inf
     assert s.mad_ratio == 0.0
+
+
+def _newton_cfg(model, m=10, p=3, n=100, seed=2):
+    gen = GenerativeConfig(p=p, theta0=np.linspace(0.2, 0.6, p), noise=NoiseDist.gaussian(1.0),
+                           link=model.link)
+    return ExperimentConfig(gen=gen, model=model, N=n * m, m=m, replications=3,
+                            base_seed=seed)
+
+
+@pytest.mark.parametrize("model", [ModelSpec.logistic(), ModelSpec.nonlinear_ls()],
+                         ids=["logistic", "nls"])
+def test_failing_shards_and_centre_raise_the_centres_error(monkeypatch, model):
+    # NaN responses fail every fit; the shards are fitted first, but the
+    # centre's failure is the one raised
+    cfg = _newton_cfg(model)
+    real = parallel.sample_dataset
+
+    def nan_sample(*args):
+        d = real(*args)
+        return Dataset(d.X, np.full_like(d.y, np.nan))
+
+    monkeypatch.setattr(parallel, "sample_dataset", nan_sample)
+    with pytest.raises(SplitAvgError, match="did not converge") as info:
+        run_replication(cfg, 0)
+    assert not isinstance(info.value, MachineFitError)
+    assert isinstance(info.value.__context__, MachineFitError)
+
+
+@pytest.mark.parametrize("failure", ["raises", "unconverged"])
+@pytest.mark.parametrize("model", [ModelSpec.logistic(), ModelSpec.nonlinear_ls()],
+                         ids=["logistic", "nls"])
+def test_failed_warm_central_fit_falls_back_to_the_default_start(monkeypatch, model, failure):
+    cfg = _newton_cfg(model)
+    want = run_replication(cfg, 1)
+    d = parallel.sample_dataset(cfg.gen, cfg.N, parallel._rep_seed(cfg.base_seed, 1))
+    cold = fit_erm(d, model, tol=parallel._NEWTON_TOL)
+    real, starts = parallel.fit_erm, []
+
+    def no_warm_start(d, model, init=None, **kw):
+        starts.append(init)
+        if init is None:
+            return real(d, model, **kw)
+        if failure == "raises":
+            raise SingularHessianError("Hessian is numerically singular")
+        return FitReport(init, 1.0, 0, False)
+
+    monkeypatch.setattr(parallel, "fit_erm", no_warm_start)
+    res = run_replication(cfg, 1)
+    assert res.theta_central.tobytes() == cold.theta_hat.tobytes()
+    assert res.theta_bar.tobytes() == want.theta_bar.tobytes()
+    assert starts[0].tobytes() == want.theta_bar.tobytes() and starts[1:] == [None]
+
+
+@pytest.mark.parametrize("model,m", [("ols", 4), ("ridge", 4), ("ols", 1), ("logistic", 1)])
+def test_closed_form_and_single_machine_fits_start_at_the_default(monkeypatch, model, m):
+    cfg = _cfg(model=model, m=m, link="logistic" if model == "logistic" else "linear")
+    real, starts = parallel.fit_erm, []
+    monkeypatch.setattr(parallel, "fit_erm",
+                        lambda d, model, init=None, **kw: starts.append(init) or
+                        real(d, model, init, **kw))
+    for r in range(cfg.replications):
+        run_replication(cfg, r)
+    assert starts == ([None] * cfg.replications if model == "logistic" else [])
