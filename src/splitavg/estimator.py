@@ -8,10 +8,13 @@ covariance.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConfigError, RankError, SingularHessianError
 from .losses import LossSpec, derivative_array
@@ -22,6 +25,38 @@ _SUPPORTED_PAIRS = {
     ("squared", "exp_nonlinear"),
     ("logistic", "logistic"),
 }
+
+
+def _load_flapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, without importing scipy.linalg.
+
+    ``scipy.linalg`` and ``scipy.linalg.lapack`` load scipy's array-API layer
+    (about 110 modules and 28 MB) for two functions; the extension itself
+    needs only numpy.  Once loaded it stays in ``sys.modules`` under its own
+    name, so a later ``import scipy.linalg`` reuses it, and either way its
+    functions are the objects ``scipy.linalg.lapack`` exports.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # locates the package, imports nothing
+    if scipy_spec is None:
+        raise ImportError("splitavg needs scipy for its LAPACK extension", name="scipy")
+    linalg = Path(scipy_spec.submodule_search_locations[0], "linalg")
+    paths = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((path for path in paths if path.is_file()), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: {paths[0]}", name=name,
+                          path=str(paths[0]))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_FLAPACK = _load_flapack()
+dpotrf, dpotrs = _FLAPACK.dpotrf, _FLAPACK.dpotrs
 
 _MAX_ITER = 200
 _ARMIJO_BETA = 0.5

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, DegenerateLossError, NumericalError, SolverFailureError
 from .losses import LossSpec, derivative_array, prox_array
@@ -217,15 +216,12 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _gaussian_min_sq(mu, s, cap):
-    """E[min(X^2, cap^2)] for X ~ N(mu, s^2), vectorized in mu."""
-    alpha = (-cap - mu) / s
-    beta = (cap - mu) / s
-    inside = ndtr(beta) - ndtr(alpha)
-    second = (mu * mu + s * s) * inside \
-        + 2.0 * mu * s * (_phi(alpha) - _phi(beta)) \
-        + s * s * (alpha * _phi(alpha) - beta * _phi(beta))
-    return second + cap * cap * (1.0 - inside)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _ndtr(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array, element by element: erfc(-x / sqrt(2)) / 2."""
+    return 0.5 * _erfc(-x / _SQRT2).astype(float)
 
 
 def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
@@ -258,9 +254,12 @@ def _absolute_residual_fn(noise: NoiseDist, q: QuadratureSpec):
         else:
             a_hi, a_lo = (c - te) / r, (-c - te) / r
             phi_hi, phi_lo = _phi(a_hi), _phi(a_lo)
-            inside = ndtr(a_hi) - ndtr(a_lo)
+            inside = _ndtr(a_hi) - _ndtr(a_lo)
             e_dprox = float(we @ (1.0 - inside))
-            e_min = float(we @ _gaussian_min_sq(te, r, c))
+            # E[min(X^2, c^2)] for X ~ N(te, r^2), from the same normal pieces
+            min_sq = (te * te + r * r) * inside + 2.0 * te * r * (phi_lo - phi_hi) \
+                + r * r * (a_lo * phi_lo - a_hi * phi_hi)
+            e_min = float(we @ (min_sq + c * c * (1.0 - inside)))
             d_dprox = [-float(we @ (phi_hi + phi_lo)) / r,
                        float(we @ (a_hi * phi_hi - a_lo * phi_lo)) / (2.0 * r2)]
             d_min_rho = float(we @ (inside - c * (phi_hi + phi_lo) / r))

@@ -1,5 +1,11 @@
 """ERM fits against closed forms; sandwich covariance against its population value."""
 
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,6 +83,28 @@ def test_closed_form_equals_plain_normal_equations_bitwise(n, p, lam):
     assert np.array_equal(fit_closed(d, lam), ref)
     stacked = fit_closed_stacked(np.stack([d.X, d.X]), np.stack([d.y, d.y]), lam)
     assert np.array_equal(stacked, np.stack([ref, ref]))
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_lapack_kernel_binds_scipys_own_functions(scipy_first):
+    # what makes every solve bitwise scipy's: the very objects scipy.linalg.lapack exports,
+    # whether scipy.linalg is imported before splitavg or after it
+    imports = ["import scipy.linalg", "import splitavg.estimator as est"]
+    code = "; ".join(imports if scipy_first else imports[::-1]) + (
+        "; lapack = scipy.linalg.lapack"
+        "; print(est.dpotrf is lapack.dpotrf, est.dpotrs is lapack.dpotrs)")
+    env = dict(os.environ, PYTHONPATH=str(Path(est.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == ["True", "True"]
+
+
+def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(est.importlib.util, "find_spec",
+                        lambda name: types.SimpleNamespace(submodule_search_locations=[tmp_path]))
+    with pytest.raises(ImportError, match=str(tmp_path / "linalg" / "_flapack")):
+        est._load_flapack()
 
 
 def test_stacked_rank_error_on_any_singular_system():

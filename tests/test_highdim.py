@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from splitavg import (
     ConfigError,
@@ -27,6 +28,7 @@ from splitavg.highdim import (
     _compound_grid,
     _eps_axis,
     _expect_xi_adaptive,
+    _ndtr,
     _newton_rc,
     _smooth_residual_fn,
 )
@@ -425,6 +427,18 @@ def test_perturb_coeffs_evaluates_each_derivative_once(monkeypatch):
     perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)
     perturb_coeffs(LossSpec.pseudo_huber(3.0), _LAP)  # cached: evaluates nothing
     assert orders == [1, 2, 3, 4]
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # erfc(-x / sqrt(2)) first rounds x / sqrt(2), and erfc's relative condition number
+    # there grows like x^2 (~1900 eps apart from scipy near -37.5), so the bound is
+    # 4 eps (1 + x^2); measured at most ~2.1 eps (1 + x^2).  Below -37.5 scipy flushes to
+    # zero what is subnormal.
+    x = np.concatenate([np.linspace(-37.5, 37.5, 30001), [-1e-300, 1e-300]])
+    got, ref = _ndtr(x), ndtr(x)
+    assert _ndtr(np.zeros(1))[0] == 0.5 and got[-1] == got[-2] == 0.5
+    np.testing.assert_array_less(np.abs(got - ref), 4 * np.finfo(float).eps * (1 + x * x) * ref)
+    assert 0 < got[0] < 1e-307 and got[-3] == 1.0
 
 
 # _absolute_residual_fn(gaussian(s2))(c, rho, kappa) as (f0, f1, J00, J01, J10, J11),

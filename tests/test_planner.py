@@ -268,7 +268,7 @@ PLAN_OUTCOMES = [
     (ols_problem("fixed_N", 10 ** 6, 0.1, constraint="relative"),
      (991, "0x1.2061db787268dp-10", True)),
     *zip(map(workload_plan, WORKLOAD_LOSSES), [(92, "0x1.20b470c67c0d9p-10", True),
-                                               (101, "0x1.c58d19c1dd682p-10", True),
+                                               (101, "0x1.c58d19c1dd65bp-10", True),
                                                (93, "0x1.22ee3eaec3f43p-10", True)]),
 ]
 

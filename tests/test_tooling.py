@@ -1,7 +1,7 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
 parse, README names resolve, only the model module draws random numbers, importing the
-package leaves scipy's heavy subpackages out.
+package loads no scipy package, only scipy's LAPACK extension.
 Also the Python scripts under scripts/ run and reach what they print."""
 
 import ast
@@ -185,15 +185,16 @@ def test_only_the_model_module_draws_random_numbers():
     assert found == allowed, f"random draws outside splitavg.model: {sorted(found)}"
 
 
-def test_importing_the_package_loads_no_scipy_optimize_or_integrate():
-    # scipy.optimize alone is ~200 modules and ~17 MB in every process that imports
-    # splitavg; scipy.integrate, which highdim reads only on its reference path, imports it
+def test_importing_the_package_loads_only_scipys_lapack_extension():
+    # any scipy subpackage runs scipy's array-API layer (~110 modules, ~28 MB, numpy.f2py
+    # and numpy.testing among them) in every process that imports splitavg; highdim reads
+    # scipy.integrate only on its reference path
     code = ("import sys, splitavg, splitavg.cli; print(' '.join(sorted(name for name in "
-            "sys.modules if name.startswith(('scipy.optimize', 'scipy.integrate')))))")
+            "sys.modules if name.startswith('scipy'))))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == []
+    assert proc.stdout.split() == ["scipy.linalg._flapack"]
 
 
 def test_ridge_moment_script_fits_the_implemented_p1_coefficients():
