@@ -33,7 +33,7 @@ from .highdim import (
     perturb_coeffs,
 )
 from .losses import LossSpec
-from .model import GenerativeConfig, NoiseDist, error_ratio
+from .model import GenerativeConfig, NoiseDist, _gaussian, _rng, error_ratio
 from .oracles import ALL_IDENTITY_IDS, WishartIdentity, wishart_check
 from .parallel import ExperimentConfig, run_experiment, summarize
 from .planner import FixedPRegime, HighDimRegime, PlannerProblem, choose_m
@@ -273,8 +273,7 @@ def _run_plan(args) -> int:
 def _run_wishart_check(args) -> int:
     rows = []
     for p in args.p_grid:
-        rng = np.random.default_rng(args.seed + p)
-        raw = rng.standard_normal((p, p))
+        raw = _gaussian((p, p), None, _rng(args.seed + p))
         b = (raw + raw.T) / 2.0
         for ident in ALL_IDENTITY_IDS:
             w = WishartIdentity(id=ident, sigma=np.eye(p), B=b)

@@ -32,9 +32,9 @@ def _load_flapack():
 
     ``scipy.linalg`` and ``scipy.linalg.lapack`` load scipy's array-API layer
     (about 110 modules and 28 MB) for two functions; the extension itself
-    needs only numpy.  Once loaded it stays in ``sys.modules`` under its own
-    name, so a later ``import scipy.linalg`` reuses it, and either way its
-    functions are the objects ``scipy.linalg.lapack`` exports.
+    needs only numpy.  Loading registers it in ``sys.modules``; it is taken out
+    again, leaving scipy's module table as it was.  CPython keeps its state,
+    so a later ``import scipy.linalg`` exports these same function objects.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -51,7 +51,7 @@ def _load_flapack():
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[name] = module
+    del sys.modules[name]
     return module
 
 

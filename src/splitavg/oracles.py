@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .estimator import (ModelSpec, _solve_normal, fit_closed_stacked, fit_erm_stacked,
+from .estimator import (ModelSpec, _normal_stats, _solve_normal, fit_erm_stacked,
                         population_target)
 from .estimator import fit_erm  # unused here; bench/tracing.py wraps oracles.fit_erm
 from .model import GenerativeConfig, _covariance, _draw, _gaussian, _gram_draw, _rng
@@ -223,10 +223,10 @@ class MomentFitResult:
 def _errors(cfg, model, n, reps, rng):
     """Errors of ``reps`` fits at size n, one stacked fit per chunk of replications.
 
-    OLS and ridge under Gaussian noise solve exact (X'X, X'y) draws, a
-    replication being a row of p^2 Bartlett-factor elements; every other fit
-    draws its chunk's designs with ``_draw``, a row of n p elements.  Warns
-    once with the count of Newton fits that did not converge.
+    OLS and ridge solve (X'X, X'y): under Gaussian noise exact draws, a row of
+    p^2 Bartlett-factor elements; else those of the designs that ``_draw``
+    gives every other fit, a row of n p elements.  Warns once with the count
+    of Newton fits that did not converge.
     """
     target = population_target(cfg, model)
     exact = model.is_closed_form and cfg.noise.kind == "gaussian"
@@ -235,10 +235,10 @@ def _errors(cfg, model, n, reps, rng):
     for done in range(0, reps, chunk):
         c = min(chunk, reps - done)
         # no names for the draws: a chunk's design is freed before the next is drawn
-        if exact:
-            fits.append(_solve_normal(*_gram_draw(cfg, c, n, rng), n, model.penalty))
-        elif model.is_closed_form:
-            fits.append(fit_closed_stacked(*_draw(cfg, (c, n), rng), model.penalty))
+        if model.is_closed_form:
+            fits.append(_solve_normal(*(_gram_draw(cfg, c, n, rng) if exact
+                                        else _normal_stats(*_draw(cfg, (c, n), rng))),
+                                      n, model.penalty))
         else:
             reports = fit_erm_stacked(*_draw(cfg, (c, n), rng), model, init=target, tol=1e-8)
             fits.append([r.theta_hat for r in reports])

@@ -110,37 +110,28 @@ def _unconverged(report: FitReport) -> SplitAvgError:
 
 
 def _central_fit(d: Dataset, cfg: ExperimentConfig, init: np.ndarray | None = None):
-    """The fit to all N points, and the OLS/ridge shard statistics whose sums it solves.
-
-    A Newton fit starts at ``init`` if given.  If that fit raises or does not
-    converge, it is retried once from the default start, and only the retry's
-    failure is raised: a start can add no failure.
-    """
-    if cfg.model.is_closed_form:
-        stats = _normal_stats(d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n))
-        with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums fail in the solve
-            G, b = stats[0].sum(0), stats[1].sum(0)
-        return _solve_normal(G, b, cfg.N, cfg.model.penalty), stats
+    """The Newton fit to all N points.  A fit from ``init`` that raises or does not converge
+    is retried once from the default start, and only the retry's failure is raised."""
     if init is not None:
         try:
             report = fit_erm(d, cfg.model, init=init, tol=_NEWTON_TOL)
             if report.converged:
-                return report.theta_hat, None
+                return report.theta_hat
         except SplitAvgError:
             pass  # retried from the default start below
     report = fit_erm(d, cfg.model, tol=_NEWTON_TOL)
     if not report.converged:
         raise _unconverged(report)
-    return report.theta_hat, None
+    return report.theta_hat
 
 
 def _shard_fits(d: Dataset, cfg: ExperimentConfig, stats=None) -> np.ndarray:
     """The (m, p) shard estimates, all shards fitted in one stacked call.
 
     Shard j is rows j n ... (j + 1) n - 1 of d, taken as (m, n, p) and (m, n)
-    views.  OLS/ridge shards solve ``stats`` from ``_central_fit``, else the
-    views' own.  A failed fit raises ``MachineFitError`` for the lowest shard
-    whose fit raised or did not converge, where a one-by-one loop would stop.
+    views.  OLS/ridge shards solve the views' (X'X, X'y), ``stats`` if given.
+    A failed fit raises ``MachineFitError`` for the lowest shard whose fit
+    raised or did not converge, where a one-by-one loop would stop.
     """
     model = cfg.model
     X, y = d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n)
@@ -168,12 +159,15 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
     if not 0 <= rep < cfg.replications:
         raise ConfigError(f"rep must be in [0, {cfg.replications})")
     d = sample_dataset(cfg.gen, cfg.N, _rep_seed(cfg.base_seed, rep))
-    if cfg.m == 1 or cfg.model.is_closed_form:
-        theta_central, stats = _central_fit(d, cfg)
-        # m = 1: the single shard is the full dataset, already fitted, so
-        # theta_bar is bitwise equal to theta_central.
-        theta_bar = average_estimate([theta_central] if cfg.m == 1
-                                     else _shard_fits(d, cfg, stats))
+    if cfg.model.is_closed_form:  # the centre solves the sums of the shards' statistics first
+        stats = _normal_stats(d.X.reshape(cfg.m, cfg.n, d.p), d.y.reshape(cfg.m, cfg.n))
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite sums fail in the solve
+            G, b = stats[0].sum(0), stats[1].sum(0)
+        theta_central = _solve_normal(G, b, cfg.N, cfg.model.penalty)
+        theta_bar = average_estimate(_shard_fits(d, cfg, stats))
+    elif cfg.m == 1:  # the single shard is the full dataset, already fitted
+        theta_central = _central_fit(d, cfg)
+        theta_bar = average_estimate([theta_central])
     else:
         # Newton: the shards first, then the centre from their average, which
         # lies within O(1/n) of it.  After a shard failure the centre is fitted
@@ -183,7 +177,7 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
         except MachineFitError:
             _central_fit(d, cfg)
             raise
-        theta_central = _central_fit(d, cfg, init=theta_bar)[0]
+        theta_central = _central_fit(d, cfg, init=theta_bar)
     target = cfg.theta_star()
     return ReplicationResult(
         theta_bar=theta_bar,

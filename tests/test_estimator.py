@@ -88,15 +88,17 @@ def test_closed_form_equals_plain_normal_equations_bitwise(n, p, lam):
 @pytest.mark.parametrize("scipy_first", [True, False])
 def test_lapack_kernel_binds_scipys_own_functions(scipy_first):
     # what makes every solve bitwise scipy's: the very objects scipy.linalg.lapack exports,
-    # whether scipy.linalg is imported before splitavg or after it
+    # whether scipy.linalg is imported before splitavg or after it, and scipy.linalg
+    # still holds its extension module as an attribute
     imports = ["import scipy.linalg", "import splitavg.estimator as est"]
     code = "; ".join(imports if scipy_first else imports[::-1]) + (
         "; lapack = scipy.linalg.lapack"
-        "; print(est.dpotrf is lapack.dpotrf, est.dpotrs is lapack.dpotrs)")
+        "; print(est.dpotrf is lapack.dpotrf, est.dpotrs is lapack.dpotrs,"
+        " est.dpotrf is scipy.linalg._flapack.dpotrf)")
     env = dict(os.environ, PYTHONPATH=str(Path(est.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["True", "True", "True"]
 
 
 def test_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):

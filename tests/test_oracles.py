@@ -405,12 +405,12 @@ def test_oracle_passes_hold_at_most_chunk_elements_per_draw_array(monkeypatch):
     # Bartlett factors of 25 x 25 all exceed _CHUNK elements, so each must be
     # split into several passes
     draws, fits, grams = [], [], []
-    gaussian, stacked, gram = model_module._gaussian, oracles.fit_closed_stacked, _gram_draw
+    gaussian, stats, gram = model_module._gaussian, oracles._normal_stats, _gram_draw
     for module in (model_module, oracles):
         monkeypatch.setattr(module, "_gaussian",
                             lambda shape, *a: draws.append(shape) or gaussian(shape, *a))
-    monkeypatch.setattr(oracles, "fit_closed_stacked",
-                        lambda X, *a: fits.append(X.shape) or stacked(X, *a))
+    monkeypatch.setattr(oracles, "_normal_stats",
+                        lambda X, *a: fits.append(X.shape) or stats(X, *a))
     monkeypatch.setattr(oracles, "_gram_draw",
                         lambda cfg, c, n, rng: grams.append((c, n, cfg.p)) or gram(cfg, c, n, rng))
 

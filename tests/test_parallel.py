@@ -323,3 +323,21 @@ def test_closed_form_and_single_machine_fits_start_at_the_default(monkeypatch, m
     for r in range(cfg.replications):
         run_replication(cfg, r)
     assert starts == ([None] * cfg.replications if model == "logistic" else [])
+
+
+@pytest.mark.parametrize("model,m", [("ols", 1), ("ols", 4), ("ridge", 1), ("ridge", 4),
+                                     ("logistic", 1), ("logistic", 4)])
+def test_linear_replication_forms_its_statistics_once_and_solves_twice(monkeypatch, model, m):
+    # one recipe at every m: the (m, p, p) Grams and (m, p) X'y once, the centre from
+    # their sums, then the shard stack; a Newton replication forms and solves none
+    cfg = _cfg(model=model, m=m, link="logistic" if model == "logistic" else "linear")
+    calls = []
+    for name in ("_normal_stats", "_solve_normal"):
+        real = getattr(parallel, name)
+        monkeypatch.setattr(parallel, name, lambda *a, name=name, real=real:
+                            calls.append((name, a[0].shape)) or real(*a))
+    run_replication(cfg, 0)
+    p = cfg.gen.p
+    assert calls == ([] if model == "logistic" else [
+        ("_normal_stats", (m, cfg.n, p)), ("_solve_normal", (p, p)),
+        ("_solve_normal", (m, p, p))])

@@ -1,7 +1,7 @@
 """Static checks that stand in for a linter: tracer targets resolve, no unused imports in
 the package, tests or scripts, exported functions have callers, documented command lines
 parse, README names resolve, only the model module draws random numbers, importing the
-package loads no scipy package, only scipy's LAPACK extension.
+package leaves no scipy module loaded.
 Also the Python scripts under scripts/ run and reach what they print."""
 
 import ast
@@ -99,6 +99,21 @@ def test_grid_plans_reproduce_their_csvs(tmp_path):
         assert (tmp_path / out.name).read_bytes() == (ROOT / out).read_bytes(), out.name
 
 
+def test_grid_table1_and_wishart_lines_reproduce_their_csvs(tmp_path):
+    # the same for table1 and wishart-check (~3 s): the high-dim solves, wishart-check's
+    # random B and both of its oracle streams
+    from splitavg.cli import main
+
+    script = (ROOT / "scripts" / "run_reference_grids.sh").read_text()
+    argvs = [argv for argv in _cli_argvs(script) if argv[0] in ("table1", "wishart-check")]
+    assert len(argvs) == 2
+    for argv in argvs:
+        out = Path(argv[argv.index("--out") + 1])
+        argv[argv.index("--out") + 1] = str(tmp_path / out.name)
+        assert main(argv) == 0
+        assert (tmp_path / out.name).read_bytes() == (ROOT / out).read_bytes(), out.name
+
+
 def test_every_module_name_in_the_readme_resolves():
     # a `<module>.<name>` the README names must still exist in splitavg.<module>
     modules = {path.stem for path in PACKAGE.glob("*.py")}
@@ -162,9 +177,8 @@ def _resolve(module, node):
 
 def test_only_the_model_module_draws_random_numbers():
     # one draw rule: every random number in the package comes from splitavg.model
-    # (_draw, _gram_draw, _gaussian, sample_noise, split_uniform); the one other
-    # draw is the random symmetric B that wishart-check tests at each p
-    allowed = {("cli", "_run_wishart_check", "standard_normal")}
+    # (_draw, _gram_draw, _gaussian, sample_noise, split_uniform)
+    allowed = set()
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "model":
@@ -185,16 +199,17 @@ def test_only_the_model_module_draws_random_numbers():
     assert found == allowed, f"random draws outside splitavg.model: {sorted(found)}"
 
 
-def test_importing_the_package_loads_only_scipys_lapack_extension():
+def test_importing_the_package_leaves_no_scipy_module_loaded():
     # any scipy subpackage runs scipy's array-API layer (~110 modules, ~28 MB, numpy.f2py
     # and numpy.testing among them) in every process that imports splitavg; highdim reads
-    # scipy.integrate only on its reference path
+    # scipy.integrate only on its reference path.  The LAPACK extension the estimator
+    # loads leaves sys.modules again, so a later scipy import finds scipy as it was
     code = ("import sys, splitavg, splitavg.cli; print(' '.join(sorted(name for name in "
             "sys.modules if name.startswith('scipy'))))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.split() == ["scipy.linalg._flapack"]
+    assert proc.stdout.split() == []
 
 
 def test_ridge_moment_script_fits_the_implemented_p1_coefficients():
