@@ -2,12 +2,13 @@
 
 A replication samples N i.i.d. points, hands machine j the rows
 j n ... (j + 1) n - 1, fits each shard, averages, and fits the centralized
-estimator.  OLS/ridge solve the centre first, from the sums of the shards'
-normal statistics.  Newton models fit the shards first and start the centre
-at their average, within O(1/n) of it; that fit falls back to the default
-start if it fails, and after a shard failure the centre is fitted from the
-default start and its failure raised first.  The rows are exchangeable, so
-these blocks are a uniformly random split in law.
+estimator, by one recipe per model family at every m.  OLS/ridge solve the
+centre first, from the sums of the shards' normal statistics.  Newton models
+fit the shards first and start the centre at their average, within O(1/n) of
+it; that fit falls back to the default start if it fails, and after a shard
+failure the centre is fitted from the default start and its failure raised
+first.  The rows are exchangeable, so these blocks are a uniformly random
+split in law.
 Per-replication seeds derive from (base_seed, rep) alone, so summaries are
 invariant to execution order and to any parallel schedule.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -165,9 +167,6 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
             G, b = stats[0].sum(0), stats[1].sum(0)
         theta_central = _solve_normal(G, b, cfg.N, cfg.model.penalty)
         theta_bar = average_estimate(_shard_fits(d, cfg, stats))
-    elif cfg.m == 1:  # the single shard is the full dataset, already fitted
-        theta_central = _central_fit(d, cfg)
-        theta_bar = average_estimate([theta_central])
     else:
         # Newton: the shards first, then the centre from their average, which
         # lies within O(1/n) of it.  After a shard failure the centre is fitted
@@ -189,7 +188,9 @@ def run_replication(cfg: ExperimentConfig, rep: int) -> ReplicationResult:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int | None = None):
-    """All replications, optionally on a thread pool; results ordered by rep."""
+    """All replications, on a pool of ``threads`` (None or 1: serial); results ordered by rep."""
+    if threads is not None and not (isinstance(threads, Integral) and threads >= 1):
+        raise ConfigError(f"threads must be None or an integer >= 1, got {threads!r}")
     reps = range(cfg.replications)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -5,6 +5,8 @@ import csv
 
 import pytest
 
+import splitavg.cli as cli
+from splitavg import ModelSpec
 from splitavg.cli import build_parser, main
 
 
@@ -104,6 +106,40 @@ def test_highdim_sweep_schema(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["n", "m", "kappa", "mse_ratio_emp", "mse_ratio_theory"]
     assert float(rows[0][4]) == pytest.approx(1.2, abs=1e-9)
+
+
+def test_ratio_sweep_nls_model(tmp_path, monkeypatch):
+    models = []
+    real = cli.run_experiment
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg, **kw: models.append(cfg.model) or real(cfg, **kw))
+    out = tmp_path / "nls.csv"
+    code = main(["ratio-sweep", "--model", "nls", "--p", "3", "--m", "2",
+                 "--n-grid", "60,120", "--reps", "3", "--out", str(out)])
+    assert code == 0
+    assert models == [ModelSpec.nonlinear_ls()] * 2
+    comment, _, rows = read_csv(out)
+    assert "model=nls" in comment
+    assert [r[0] for r in rows] == ["60", "120"]
+
+
+def test_highdim_sweep_ridge_has_no_theory(tmp_path):
+    out = tmp_path / "hd.csv"
+    code = main(["highdim-sweep", "--model", "ridge", "--n-grid", "100", "--m", "5",
+                 "--reps", "3", "--out", str(out)])
+    assert code == 0
+    comment, _, rows = read_csv(out)
+    assert "model=ridge" in comment
+    assert float(rows[0][3]) > 0 and rows[0][4] == ""
+
+
+def test_highdim_sweep_kappa_giving_no_feature_exits_one(tmp_path, capsys):
+    out = tmp_path / "hd.csv"
+    code = main(["highdim-sweep", "--kappa", "0.001", "--n-grid", "50", "--reps", "3",
+                 "--out", str(out)])
+    assert code == 1
+    assert "kappa = 0.001 gives invalid p at n = 50" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wishart_check_output(tmp_path):

@@ -370,6 +370,18 @@ def test_sandwich_takes_one_score_weight_pass(monkeypatch, model, link):
     assert np.all(np.linalg.eigvalsh(cov) > 0)
 
 
+@pytest.mark.parametrize("model,link", [(ModelSpec.ols(), "linear"),
+                                        (ModelSpec.logistic(), "logistic")],
+                         ids=["ols", "logistic"])
+def test_sandwich_raises_on_a_zero_column(model, link):
+    # an all-zero column zeroes a row and column of the empirical Hessian
+    d, _ = _data(n=300, p=3, seed=10, link=link)
+    X = d.X.copy()
+    X[:, 1] = 0.0
+    with pytest.raises(SingularHessianError, match="empirical Hessian is singular"):
+        sandwich_covariance(Dataset(X, d.y), np.full(3, 0.1), model)
+
+
 def test_wald_coverage_smoke():
     # small version of the full coverage criterion (acceptance runs 1000 reps)
     p, n, reps = 3, 400, 200

@@ -372,6 +372,28 @@ def test_residual_jacobian_at_rho_zero_uses_stein(loss):
         np.testing.assert_allclose(jac[:, 1], fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
 
 
+@pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+def test_absolute_residuals_at_r_zero_are_the_laplace_closed_forms(b):
+    # Laplace noise has no normal part, so at rho = 0 the residuals take their
+    # r -> 0 limit: P(|eps| > c) = e^{-c/b} and E[min(eps^2, c^2)] =
+    # 2b^2 - 2b(b + c) e^{-c/b}, exact on the quadrature when c is a panel edge
+    noise, kappa = NoiseDist.laplace(b), 0.3
+    fn = _absolute_residual_fn(noise, QuadratureSpec())
+    for c in b * np.geomspace(0.02, 40.0, 20):
+        f, jac = fn(c, 0.0, kappa)
+        e = np.exp(-c / b)
+        want_f = [e - (1.0 - kappa), 2 * b * b - 2 * b * (b + c) * e]
+        want_jac = [[-e / b, e / (2 * b * b)], [2 * c * e, 1.0 - (1.0 + c / b) * e - kappa]]
+        np.testing.assert_allclose(f, want_f, rtol=0, atol=1e-13 * (1 + b * b))
+        np.testing.assert_allclose(jac, want_jac, rtol=0, atol=1e-13 * (1 + b * b))
+    # at tiny kappa the solve stays on that branch, where c = kappa b, r^2 = kappa b^2
+    kappa = 1e-28
+    sol = solve_rc(LossSpec.absolute(), noise, kappa)
+    assert sol.r < 1e-13
+    assert sol.c / kappa == pytest.approx(b, rel=1e-12)
+    assert sol.r_squared / kappa == pytest.approx(b * b, rel=1e-12)
+
+
 # solve_rc(pseudo_huber(3), noise, kappa, tol=1e-13) as (c, r^2), frozen from
 # the finite-difference-Jacobian solver this one replaced
 FROZEN_HUBER_SOLUTIONS = {

@@ -355,6 +355,14 @@ def test_mc_moment_fit_residuals_shrink_with_wider_grid():
     assert wide.fit_residual_mse <= 0.05 * scale
 
 
+def test_mc_moment_fit_warns_on_a_narrow_grid():
+    # 1/n and 1/n^2 are nearly collinear on n = 10000 ... 10002: the fit
+    # design's condition number is about 1.2e8, over the 1e8 warning level
+    cfg = GenerativeConfig(p=1, theta0=np.array([1.0]), noise=NoiseDist.gaussian(1.0))
+    with pytest.warns(RuntimeWarning, match="moment fit is ill-conditioned; widen n_grid"):
+        mc_moment_fit(cfg, ModelSpec.ols(), n_grid=[10000, 10001, 10002], reps=50, seed=0)
+
+
 def test_mc_moment_fit_grid_validation():
     cfg = GenerativeConfig(p=2, theta0=np.zeros(2), noise=NoiseDist.gaussian(1.0))
     with pytest.raises(ConfigError):

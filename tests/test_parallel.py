@@ -99,6 +99,21 @@ def test_summary_invariant_to_schedule():
     assert np.array_equal(serial.mean_bias, threaded.mean_bias)
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5, "2"])
+def test_run_experiment_rejects_bad_thread_counts(threads):
+    with pytest.raises(ConfigError, match="threads must be None or an integer >= 1"):
+        run_experiment(_cfg(reps=2), threads=threads)
+
+
+def test_run_experiment_runs_none_and_one_thread_serially(monkeypatch):
+    cfg = _cfg(reps=3)
+    want = [r.theta_bar.tobytes() for r in run_experiment(cfg, threads=2)]
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor",
+                        lambda *a, **kw: pytest.fail("a serial run started a pool"))
+    for threads in (None, 1):
+        assert [r.theta_bar.tobytes() for r in run_experiment(cfg, threads=threads)] == want
+
+
 def test_ridge_replication_uses_shrunk_target():
     cfg = _cfg(model="ridge", penalty=1.0, sigma2=0.0, N=4000, m=2)
     res = run_replication(cfg, 0)
@@ -207,8 +222,9 @@ def test_underdetermined_central_fit_raises_rank_error():
 
 
 def test_unconverged_central_fit_is_not_a_machine_failure():
-    # 8 logistic samples at theta0 = (4, 0): rep 1 is separable, so the central
-    # Newton fit does not converge before any shard is fitted
+    # 8 logistic samples at theta0 = (4, 0): rep 1 is separable, so neither the
+    # one shard's fit nor the centre's cold refit converges, and the centre's
+    # failure is raised over the shard's
     gen = GenerativeConfig(p=2, theta0=np.array([4.0, 0.0]),
                            noise=NoiseDist.gaussian(1.0), link="logistic")
     cfg = ExperimentConfig(gen=gen, model=ModelSpec.logistic(), N=8, m=1,
@@ -216,6 +232,7 @@ def test_unconverged_central_fit_is_not_a_machine_failure():
     with pytest.raises(SplitAvgError, match="did not converge") as info:
         run_replication(cfg, 1)
     assert not isinstance(info.value, MachineFitError)
+    assert isinstance(info.value.__context__, MachineFitError)
 
 
 def test_config_validation():
@@ -313,16 +330,37 @@ def test_failed_warm_central_fit_falls_back_to_the_default_start(monkeypatch, mo
     assert starts[0].tobytes() == want.theta_bar.tobytes() and starts[1:] == [None]
 
 
-@pytest.mark.parametrize("model,m", [("ols", 4), ("ridge", 4), ("ols", 1), ("logistic", 1)])
-def test_closed_form_and_single_machine_fits_start_at_the_default(monkeypatch, model, m):
-    cfg = _cfg(model=model, m=m, link="logistic" if model == "logistic" else "linear")
+def _record_fit_erm_starts(monkeypatch):
     real, starts = parallel.fit_erm, []
     monkeypatch.setattr(parallel, "fit_erm",
                         lambda d, model, init=None, **kw: starts.append(init) or
                         real(d, model, init, **kw))
+    return starts
+
+
+@pytest.mark.parametrize("model,m", [("ols", 4), ("ridge", 4), ("ols", 1)])
+def test_closed_form_replications_make_no_newton_fit(monkeypatch, model, m):
+    cfg = _cfg(model=model, m=m)
+    starts = _record_fit_erm_starts(monkeypatch)
     for r in range(cfg.replications):
         run_replication(cfg, r)
-    assert starts == ([None] * cfg.replications if model == "logistic" else [])
+    assert starts == []
+
+
+@pytest.mark.parametrize("model", [ModelSpec.logistic(), ModelSpec.nonlinear_ls()],
+                         ids=["logistic", "nls"])
+def test_single_machine_newton_replication_is_its_cold_fit_bitwise(monkeypatch, model):
+    # one recipe at every m: the one shard's fit is the cold fit of the whole
+    # sample, and the centre, started at that one-shard average, certifies it unchanged
+    cfg = _newton_cfg(model, m=1, n=400)
+    starts = _record_fit_erm_starts(monkeypatch)
+    for r in range(cfg.replications):
+        res = run_replication(cfg, r)
+        d = parallel.sample_dataset(cfg.gen, cfg.N, parallel._rep_seed(cfg.base_seed, r))
+        cold = fit_erm(d, model, tol=parallel._NEWTON_TOL).theta_hat.tobytes()
+        assert res.theta_bar.tobytes() == cold and res.theta_central.tobytes() == cold
+        assert starts[r].tobytes() == cold
+    assert len(starts) == cfg.replications
 
 
 @pytest.mark.parametrize("model,m", [("ols", 1), ("ols", 4), ("ridge", 1), ("ridge", 4),

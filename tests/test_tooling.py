@@ -2,7 +2,8 @@
 the package, tests or scripts, exported functions have callers, documented command lines
 parse, README names resolve, only the model module draws random numbers, importing the
 package leaves no scipy module loaded.
-Also the Python scripts under scripts/ run and reach what they print."""
+Also the Python scripts under scripts/ and the README quick start run and reach what they
+print."""
 
 import ast
 import importlib
@@ -227,6 +228,19 @@ def test_ridge_moment_script_fits_the_implemented_p1_coefficients():
             alt = script.alternate_sums(1, sigma2, np.array([theta0]), which)[0, 0]
             if f"{alt:+.6f}" != f"{implemented:+.6f}":  # a difference the script prints
                 assert abs(alt - sum_hat) >= 0.06, (sigma2, theta0, which)
+
+
+def test_readme_quick_start_runs_and_prints_its_stated_values():
+    # the block's comments promise "-> 1.225" (mse_ratio_exact) and "-> 9901" (choose_m)
+    code, = re.findall(r"## Quick start\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                       re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    printed = proc.stdout.split()
+    assert len(printed) == 4
+    assert float(printed[2]) == pytest.approx(1.225, abs=5e-4)
+    assert printed[3] == "9901"
 
 
 def test_tradeoff_script_runs():
