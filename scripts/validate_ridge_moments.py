@@ -1,35 +1,54 @@
 #!/usr/bin/env python3
 """Validate the ridge second-order moment coefficients against exact finite-n laws.
 
-The implemented closed forms (splitavg.ridge_gammas) are checked two ways:
+With identity design covariance the ridge conditional bias and covariance are
+spectral functions of S = X'X/n, and the eigenvectors of nS ~ Wishart_p(n, I)
+are Haar distributed and independent of its eigenvalues (Muirhead, Aspects of
+Multivariate Statistical Theory, 1982, sec. 3.2).  So the average over the
+eigenvectors is closed form, and the exact finite-n bias and MSE are integrals
+over the eigenvalue law, done here by Gauss-Legendre quadrature with each
+density normalized on its own nodes in log space:
 
-  * p = 1: the conditional bias/MSE of the ridge estimator depend on the
-    design only through S = X'X/n ~ Gamma(n/2, 2/n), so the exact finite-n
-    bias and MSE are one-dimensional integrals.  Fitting a/n + b/n^2 (+c/n^3)
-    across an n-grid recovers the delta and second-order-sum coefficients to
-    many digits.
-  * p = 2: the same conditional decomposition with S drawn by the Bartlett
-    construction (no data matrices needed), averaged over millions of draws.
+  * p = 1: nS ~ chi2(n).
+  * p = 2: with w1 > w2 the eigenvalues of nS, u = w1 + w2 ~ chi2(2n) and
+    t = (w1 - w2)/u, whose density is proportional to t (1 - t^2)^((n-3)/2)
+    on [0, 1], are independent.
 
-Both are compared against the implemented coefficient set and against two
-alternate sets one finds in circulation for these moments: one differing only
-in the gamma2 trace weight ((3+p) instead of (2+p)), and one with a larger
-gamma3 cross-term weight plus one less shrinkage factor on gamma4.  Only the
+With theta0 = tau e1, s_i = w_i/n and g_i = s_i/(s_i+lam) - 1/(1+lam), the
+averages of the conditional bias b over the rotation angle are
+
+    E[b1 | s] = tau (g1 + g2)/2,             E[b2 | s] = 0,
+    E[b1^2 | s] = tau^2 (3 g1^2 + 3 g2^2 + 2 g1 g2)/8,
+    E[b2^2 | s] = tau^2 (g1 - g2)^2/8,       E[b1 b2 | s] = 0,
+
+and the conditional covariance averages to sigma2/n (e1 + e2)/2 I with
+e_i = s_i/(s_i+lam)^2.  At p = 1 the one eigenvalue is s1 = s2, where these
+are the scalar laws.
+
+Fitting a/n + b/n^2 + c/n^3 to the bias and to the MSE diagonal (after
+removing the known gamma1/n) across an n-grid recovers the delta and
+second-order-sum coefficients to many digits.  Both are compared against the
+implemented coefficient set (splitavg.ridge_gammas) and against two alternate
+sets one finds in circulation for these moments: one differing only in the
+gamma2 trace weight ((3+p) instead of (2+p)), and one with a larger gamma3
+cross-term weight plus one less shrinkage factor on gamma4.  Only the
 implemented set matches the finite-n laws.
 
 Run:  python scripts/validate_ridge_moments.py
 """
 
 import numpy as np
-from scipy import integrate, stats
 
 from splitavg import lam_kl, ridge_gammas
 
 LAM = 1.0
+NODES = 100  # Gauss-Legendre nodes per axis
+WIDTH = 14.0  # each axis spans this many standard deviations of its law either side
 
 
-def alternate_sums(p, sigma2, theta0, which):
+def alternate_sums(sigma2, theta0, which):
     """Second-order sums for the two alternate coefficient sets."""
+    p = theta0.size
     B = np.outer(theta0, theta0)
     A = float(theta0 @ theta0) * np.eye(p)
     eye = np.eye(p)
@@ -46,19 +65,40 @@ def alternate_sums(p, sigma2, theta0, which):
     return g2 + g2.T + g3 + g4 + g4.T
 
 
-def exact_p1_moments(n, sigma2, theta0):
-    """Exact bias and MSE of the p = 1 ridge estimator at sample size n."""
-    dist = stats.gamma(a=n / 2.0, scale=2.0 / n)
+def quadrature(lo, hi, log_density):
+    """Gauss-Legendre nodes on [lo, hi] and weights of the density normalized on them."""
+    x, w = np.polynomial.legendre.leggauss(NODES)
+    x = lo + (hi - lo) * (x + 1) / 2
+    log_w = np.log(w) + log_density(x)
+    w = np.exp(log_w - log_w.max())
+    return x, w / w.sum()
 
-    def column(f):
-        return integrate.quad(lambda s: f(s) * dist.pdf(s), 0, np.inf,
-                              limit=400, epsabs=1e-15, epsrel=1e-13)[0]
 
-    b = lambda s: s * theta0 / (s + LAM) - theta0 / (1 + LAM)
-    bias = column(b)
-    mse = column(lambda s: b(s) ** 2) + sigma2 / n * column(
-        lambda s: s / (s + LAM) ** 2)
-    return bias, mse
+def chi2_quadrature(k):
+    half = WIDTH * np.sqrt(2 * k)
+    return quadrature(max(k - half, 0.0), k + half, lambda x: (k / 2 - 1) * np.log(x) - x / 2)
+
+
+def eigenvalues(n, p):
+    """Nodes (s1, s2) of the eigenvalues of S = X'X/n, s1 = s2 at p = 1, and their weights."""
+    if p == 1:
+        w, weight = chi2_quadrature(n)
+        return w / n, w / n, weight
+    u, u_weight = chi2_quadrature(2 * n)
+    t, t_weight = quadrature(0.0, min(WIDTH / np.sqrt(n), 1.0),
+                             lambda t: np.log(t) + (n - 3) / 2 * np.log1p(-t * t))
+    u, t = u[:, None] / n, t[None, :]
+    weight = u_weight[:, None] * t_weight
+    return (u * (1 + t) / 2).ravel(), (u * (1 - t) / 2).ravel(), weight.ravel()
+
+
+def exact_moments(n, p, sigma2, tau):
+    """Exact first bias coordinate and MSE diagonal of ridge at sample size n, theta0 = tau e1."""
+    s1, s2, weight = eigenvalues(n, p)
+    g1, g2 = (LAM * (s - 1) / ((s + LAM) * (1 + LAM)) for s in (s1, s2))
+    noise = sigma2 / n * (s1 / (s1 + LAM) ** 2 + s2 / (s2 + LAM) ** 2) / 2
+    signal = np.array([(3 * g1 ** 2 + 3 * g2 ** 2 + 2 * g1 * g2) / 8, (g1 - g2) ** 2 / 8])
+    return weight @ (tau * (g1 + g2) / 2), (tau ** 2 * signal[:p] + noise) @ weight
 
 
 def fit_coefficient(ns, values, lead, order=2):
@@ -69,82 +109,36 @@ def fit_coefficient(ns, values, lead, order=2):
     return np.linalg.lstsq(basis, y, rcond=None)[0][0]
 
 
-P1_CASES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]  # (sigma2, theta0)
+P1_CASES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]  # (sigma2, tau), theta0 = tau
+P2_CASES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]  # (sigma2, tau), theta0 = tau e1
 
 
-def fit_p1(sigma2, theta0, ns=(400, 800, 1600, 3200)):
-    """Implemented moments and the delta, second-order sum fitted to the exact p = 1 laws."""
-    gam = ridge_gammas(np.array([theta0]), sigma2, LAM)
-    biases, mses = zip(*(exact_p1_moments(n, sigma2, theta0) for n in ns))
+def fit(p, sigma2, tau, ns=(400, 800, 1600, 3200)):
+    """Implemented moments, and the first delta coordinate and second-order-sum
+    diagonal fitted to the exact laws."""
+    gam = ridge_gammas(tau * np.eye(p)[0], sigma2, LAM)
+    biases, mses = zip(*(exact_moments(n, p, sigma2, tau) for n in ns))
     delta_hat = fit_coefficient(ns, biases, 0.0, order=1)
-    sum_hat = fit_coefficient(ns, mses, gam.gamma1[0, 0], order=2)
+    sum_hat = np.array([fit_coefficient(ns, column, lead)
+                        for column, lead in zip(np.transpose(mses), np.diag(gam.gamma1))])
     return gam, delta_hat, sum_hat
 
 
-def run_p1():
-    print("== p = 1, penalty = 1: exact quadrature ==")
-    for sigma2, theta0 in P1_CASES:
-        gam, delta_hat, sum_hat = fit_p1(sigma2, theta0)
-        row = (f"sigma2={sigma2} theta0={theta0}: "
+def run(p, cases):
+    print(f"== p = {p}, penalty = 1: exact eigenvalue quadrature ==")
+    entries = lambda v: " ".join(f"{x:+.6f}" for x in v)
+    for sigma2, tau in cases:
+        gam, delta_hat, sum_hat = fit(p, sigma2, tau)
+        row = (f"sigma2={sigma2} tau={tau}: "
                f"delta {delta_hat:+.6f} (implemented {gam.delta[0]:+.6f})  "
-               f"sum {sum_hat:+.6f} (implemented {gam.second_order_sum()[0, 0]:+.6f}")
+               f"sum diag {entries(sum_hat)} "
+               f"(implemented {entries(np.diag(gam.second_order_sum()))}")
         for which in ("alt_gamma2", "uncorrected"):
-            row += f", {which} {alternate_sums(1, sigma2, np.array([theta0]), which)[0, 0]:+.6f}"
+            alt = alternate_sums(sigma2, tau * np.eye(p)[0], which)
+            row += f", {which} {entries(np.diag(alt))}"
         print(row + ")")
 
 
-def bartlett_s_matrices(rng, n, count):
-    """Draws of S = X'X/n for p = 2 via the Bartlett construction."""
-    c11 = np.sqrt(rng.chisquare(n, count))
-    c22 = np.sqrt(rng.chisquare(n - 1, count))
-    c21 = rng.standard_normal(count)
-    s11 = c11 ** 2 / n
-    s21 = c11 * c21 / n
-    s22 = (c21 ** 2 + c22 ** 2) / n
-    return s11, s21, s22
-
-
-def run_p2(reps=20_000_000, seed=11):
-    print("== p = 2, penalty = 1, theta0 = e1, sigma2 = 1: Bartlett MC ==")
-    theta0 = np.array([1.0, 0.0])
-    sigma2 = 1.0
-    gam = ridge_gammas(theta0, sigma2, LAM)
-    ns = [100, 200, 400]
-    mse_by_n = {}
-    rng = np.random.default_rng(seed)
-    for n in ns:
-        acc_bb = np.zeros((2, 2))
-        acc_var = np.zeros((2, 2))
-        done = 0
-        while done < reps:
-            c = min(2_000_000, reps - done)
-            s11, s21, s22 = bartlett_s_matrices(rng, n, c)
-            det = (s11 + LAM) * (s22 + LAM) - s21 ** 2
-            i11, i21, i22 = (s22 + LAM) / det, -s21 / det, (s11 + LAM) / det
-            # conditional bias  b = (S+I)^-1 S theta0 - theta0 / 2
-            b1 = i11 * s11 + i21 * s21 - 0.5
-            b2 = i21 * s11 + i22 * s21
-            acc_bb += [[b1 @ b1, b1 @ b2], [b1 @ b2, b2 @ b2]]
-            # conditional covariance  (sigma2/n) (S+I)^-1 S (S+I)^-1
-            q11, q12 = i11 * s11 + i21 * s21, i11 * s21 + i21 * s22
-            q21, q22 = i21 * s11 + i22 * s21, i21 * s21 + i22 * s22
-            acc_var += [[q11 @ i11 + q12 @ i21, q11 @ i21 + q12 @ i22],
-                        [q21 @ i11 + q22 @ i21, q21 @ i21 + q22 @ i22]]
-            done += c
-        mse_by_n[n] = acc_bb / reps + sigma2 / n * acc_var / reps
-    ns_arr = np.array(ns, dtype=float)
-    sum_hat = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            y = np.array([mse_by_n[n][i, j] for n in ns]) - gam.gamma1[i, j] / ns_arr
-            basis = np.vstack([ns_arr ** -2.0, ns_arr ** -3.0]).T
-            sum_hat[i, j] = np.linalg.lstsq(basis, y, rcond=None)[0][0]
-    print("fitted second-order sum diag:", np.round(np.diag(sum_hat), 4))
-    print("implemented:", np.round(np.diag(gam.second_order_sum()), 4))
-    for which in ("alt_gamma2", "uncorrected"):
-        print(f"{which}:", np.round(np.diag(alternate_sums(2, sigma2, theta0, which)), 4))
-
-
 if __name__ == "__main__":
-    run_p1()
-    run_p2()
+    run(1, P1_CASES)
+    run(2, P2_CASES)

@@ -213,21 +213,26 @@ def test_importing_the_package_leaves_no_scipy_module_loaded():
     assert proc.stdout.split() == []
 
 
-def test_ridge_moment_script_fits_the_implemented_p1_coefficients():
-    # the quadrature half of the script (~1.5 s); its Bartlett Monte Carlo takes ~15 s
+@pytest.mark.parametrize("p", [1, 2])
+def test_ridge_moment_script_fits_the_implemented_coefficients(p):
+    # the script's eigenvalue quadrature, on its own n-grid and one from n = 800 up
     spec = importlib.util.spec_from_file_location(
         "validate_ridge_moments", ROOT / "scripts" / "validate_ridge_moments.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    for sigma2, theta0 in script.P1_CASES:
-        gam, delta_hat, sum_hat = script.fit_p1(sigma2, theta0)
-        implemented = gam.second_order_sum()[0, 0]
-        assert abs(delta_hat - gam.delta[0]) <= 1e-5
-        assert abs(sum_hat - implemented) <= 1e-5
-        for which in ("alt_gamma2", "uncorrected"):
-            alt = script.alternate_sums(1, sigma2, np.array([theta0]), which)[0, 0]
-            if f"{alt:+.6f}" != f"{implemented:+.6f}":  # a difference the script prints
-                assert abs(alt - sum_hat) >= 0.06, (sigma2, theta0, which)
+    for sigma2, tau in {1: script.P1_CASES, 2: script.P2_CASES}[p]:
+        theta0 = tau * np.eye(p)[0]
+        alternates = {which: np.diag(script.alternate_sums(sigma2, theta0, which))
+                      for which in ("alt_gamma2", "uncorrected")}
+        for ns in ((400, 800, 1600, 3200), (800, 1600, 3200, 6400, 12800)):
+            gam, delta_hat, sum_hat = script.fit(p, sigma2, tau, ns)
+            implemented = np.diag(gam.second_order_sum())
+            assert abs(delta_hat - gam.delta[0]) <= 1e-6
+            np.testing.assert_allclose(sum_hat, implemented, rtol=0, atol=1e-6)
+            for which, alt in alternates.items():
+                for i in range(p):
+                    if f"{alt[i]:+.6f}" != f"{implemented[i]:+.6f}":  # a difference it prints
+                        assert abs(alt[i] - sum_hat[i]) >= 0.06, (sigma2, tau, which, i)
 
 
 def test_readme_quick_start_runs_and_prints_its_stated_values():
@@ -243,8 +248,15 @@ def test_readme_quick_start_runs_and_prints_its_stated_values():
     assert printed[3] == "9901"
 
 
-def test_tradeoff_script_runs():
+@pytest.mark.parametrize("name", ["accuracy_complexity_tradeoff.py",
+                                  "validate_ridge_moments.py"])
+def test_script_runs_and_leaves_no_scipy_module_loaded(name):
+    code = ("import runpy, sys\n"
+            "try:\n"
+            f"    runpy.run_path({str(ROOT / 'scripts' / name)!r}, run_name='__main__')\n"
+            "finally:\n"
+            "    print(*sorted(name for name in sys.modules if name.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = ROOT / "scripts" / "accuracy_complexity_tradeoff.py"
-    proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == []
