@@ -30,8 +30,11 @@ class QuadratureSpec:
     """Quadrature controls for expectations over the compound residual noise.
 
     ``nodes`` is the Gauss-Hermite count; the noise axis uses graded
-    Gauss-Legendre panels, truncated at 40 scale parameters for Laplace
-    noise.  ``_expect_xi_adaptive`` integrates the noise axis with scipy's
+    Gauss-Legendre panels of ``max(16, nodes // 4)`` points each, truncated
+    at 40 scale parameters for Laplace noise.  Smooth-loss residual solves
+    under gaussian noise of positive variance integrate eps + r eta as one
+    normal on those panels, so there ``nodes`` matters only through the panel
+    count.  ``_expect_xi_adaptive`` integrates the noise axis with scipy's
     adaptive integrator instead, as the slow reference for these panels.
     """
 
@@ -275,18 +278,27 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
 
     With x = prox_c(z) and D = dprox/dz = 1 / (1 + c f''(x)), implicit
     differentiation gives dx/dc = -f'(x) D and dD/dz = -c f'''(x) D^3.  The
-    rho column differentiates the quadrature sum itself,
-    E[h'(z) eta] / (2 sqrt(rho)); at rho = 0 (one axis) it is Stein's lemma,
+    rho column differentiates the quadrature sum itself.
+
+    Gaussian noise of variance s2 > 0 makes eps + r eta exactly N(0, s2 + rho),
+    so z = s xi with s = sqrt(s2 + rho) on the unit-normal panel axis (xi, w),
+    and the rho column is sum_i w_i h'(z_i) xi_i / (2 s) at every rho >= 0.
+    Other noise takes the compound grid: its rho column is
+    E[h'(z) eta] / (2 sqrt(rho)), and at rho = 0 (one axis) Stein's lemma,
     E[h''(eps)] / 2.
     """
-    te, we = _eps_axis(noise, q)
+    normal = noise.kind == "gaussian" and noise.param > 0.0
+    te, we = _eps_axis(NoiseDist.gaussian(1.0) if normal else noise, q)
     th, wh = _eta_axis(q.nodes)
     wh_eta = wh * th
     # Under an even loss the mirrored noise axis holds -z beside every node z
-    # (row -t is row t negated and eta-reversed, as th == -th[::-1]); prox,
-    # f' and f''' are odd in z and D, f'', f'''' even, bit for bit.  So the
-    # prox runs on the t >= 0 rows and each integrand is unfolded by parity.
+    # (row -t is row t negated and eta-reversed, as th == -th[::-1]; on the
+    # one normal axis node -t is s t negated); prox, f' and f''' are odd in z
+    # and D, f'', f'''' even, bit for bit.  So the prox runs on the t >= 0
+    # rows and each integrand is unfolded by parity.
     fold = loss.is_even and te.size > 1
+    rows = te.size // 2 if fold else None
+    xi = te[:rows]
 
     def unfold(h, odd=False):
         if not fold:
@@ -294,9 +306,22 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
         mirror = h[:, ::-1] if h.ndim == 2 else h
         return np.concatenate([h, -mirror if odd else mirror])
 
-    def residuals(c, rho, kappa):
-        z, mean_all = _compound_grid(noise, q, math.sqrt(rho), te.size // 2 if fold else None)
+    def grid(rho):
+        """Nodes z, the weighted mean and the rho derivative of that mean of h
+        from h'(z) (None at rho = 0 on the compound grid: Stein's lemma)."""
+        if normal:
+            s = math.sqrt(noise.param + rho)
+            mean = lambda h: float(we @ unfold(h))
+            return s * xi, mean, lambda dh: (0.5 / s) * mean(dh * xi)  # dh * xi is even
+        z, mean_all = _compound_grid(noise, q, math.sqrt(rho), rows)
         mean = lambda h: mean_all(unfold(h))
+        if rho == 0:
+            return z, mean, None
+        half = 0.5 / math.sqrt(rho)  # dh is odd, as are the eta weights
+        return z, mean, lambda dh: half * float(we @ unfold(dh, odd=True) @ wh_eta)
+
+    def residuals(c, rho, kappa):
+        z, mean, d_mean_rho = grid(rho)
         prox, dprox = prox_array(loss, c, z)
         gap = z - prox
         f = np.array([mean(dprox) - (1.0 - kappa), mean(gap * gap) - kappa * rho])
@@ -305,10 +330,8 @@ def _smooth_residual_fn(loss: LossSpec, noise: NoiseDist, q: QuadratureSpec):
         # d/dc of D and of gap^2 = (z - x)^2, through dx/dc = -f' D
         d_c = (-mean(dprox * dprox * derivative_array(loss, prox, 2)) - mean(f1 * d_dprox_dz),
                2.0 * mean(gap * f1 * dprox))
-        if rho > 0:  # both integrands are odd, as are the eta weights
-            half = 0.5 / math.sqrt(rho)
-            d_rho = (half * float(we @ unfold(d_dprox_dz, odd=True) @ wh_eta),
-                     half * float(we @ unfold(2.0 * gap * (1.0 - dprox), odd=True) @ wh_eta))
+        if d_mean_rho is not None:
+            d_rho = (d_mean_rho(d_dprox_dz), d_mean_rho(2.0 * gap * (1.0 - dprox)))
         else:
             d_rho = (mean(1.5 * d_dprox_dz ** 2 / dprox
                           - 0.5 * c * derivative_array(loss, prox, 4) * dprox ** 4),
@@ -381,9 +404,14 @@ def solve_rc(
     working in r^2 avoids the square-root singularity at kappa -> 0.  It
     stops when the residual norm is <= tol, and every residual evaluation
     also returns the analytic Jacobian, so a step costs one prox evaluation.
+    ``tol`` must be finite and > 0 and ``max_iter`` >= 0, for every loss.
     """
     if not 0.0 < kappa < 1.0:
         raise ConfigError("kappa must be in (0, 1)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError("tol must be finite and > 0")
+    if max_iter < 0:
+        raise ConfigError("max_iter must be >= 0")
     if loss.kind == "squared":
         s2 = noise.variance
         c, rho = kappa / (1.0 - kappa), kappa * s2 / (1.0 - kappa)

@@ -164,6 +164,22 @@ def test_solve_rc_validation():
         solve_rc(LossSpec.absolute(), NoiseDist.gaussian(0.0), 0.1)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(3.0)],
+                         ids=lambda s: s.kind)
+def test_solve_rc_rejects_a_tolerance_that_is_not_positive_and_finite(loss, tol):
+    # checked before the squared loss's exact law returns
+    with pytest.raises(ConfigError, match="tol must be finite and > 0"):
+        solve_rc(loss, GAUSS1, 0.2, tol=tol)
+
+
+@pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(3.0)],
+                         ids=lambda s: s.kind)
+def test_solve_rc_rejects_a_negative_iteration_cap(loss):
+    with pytest.raises(ConfigError, match="max_iter must be >= 0"):
+        solve_rc(loss, GAUSS1, 0.2, max_iter=-1)
+
+
 def test_solve_rc_without_iterations_reports_the_start_residual():
     with pytest.raises(SolverFailureError, match="no convergence in 0 iterations") as info:
         solve_rc(LossSpec.pseudo_huber(3.0), GAUSS1, 0.2, max_iter=0)
@@ -342,8 +358,8 @@ def test_mse_ratio_exact_close_to_first_order_at_small_kappa():
 
 @pytest.mark.parametrize("loss", [LossSpec.squared(), LossSpec.pseudo_huber(3.0),
                                   LossSpec.absolute()], ids=lambda s: s.kind)
-@pytest.mark.parametrize("noise", [GAUSS1, NoiseDist.laplace(2 ** -0.5)],
-                         ids=["gauss1", "laplace-var1"])
+@pytest.mark.parametrize("noise", [GAUSS1, NoiseDist.gaussian(10.0), NoiseDist.laplace(2 ** -0.5)],
+                         ids=["gauss1", "gauss10", "laplace-var1"])
 def test_residual_jacobian_matches_central_differences(loss, noise):
     q = QuadratureSpec()
     fn = (_smooth_residual_fn(loss, noise, q) if loss.is_smooth
@@ -522,6 +538,7 @@ def test_even_loss_keeps_its_parity_on_the_compound_grid(loss, nodes):
 
 
 def test_even_loss_solve_runs_the_prox_on_half_the_grid(monkeypatch):
+    # gaussian noise: half the unit-normal panel axis; Laplace: half the compound grid
     import splitavg.highdim as hd
 
     sizes = []
@@ -529,30 +546,66 @@ def test_even_loss_solve_runs_the_prox_on_half_the_grid(monkeypatch):
     monkeypatch.setattr(hd, "prox_array",
                         lambda loss, c, z: sizes.append(z.size) or real(loss, c, z))
     q = QuadratureSpec(16)
-    nodes = _compound_grid(GAUSS1, q, 1.0)[0].size
-    solve_rc(LossSpec.pseudo_huber(3.0), GAUSS1, 0.2, q)
-    assert sizes and set(sizes) == {nodes // 2}
-    sizes.clear()
-    solve_rc(LossSpec.logistic(), GAUSS1, 0.2, q)  # not even: the full grid
-    assert sizes and set(sizes) == {nodes}
+    for noise, nodes in ((GAUSS1, _eps_axis(GAUSS1, q)[0].size),
+                         (_LAP, _compound_grid(_LAP, q, 1.0)[0].size)):
+        sizes.clear()
+        solve_rc(LossSpec.pseudo_huber(3.0), noise, 0.2, q)
+        assert sizes and set(sizes) == {nodes // 2}
+        sizes.clear()
+        solve_rc(LossSpec.logistic(), noise, 0.2, q)  # not even: the whole axis or grid
+        assert sizes and set(sizes) == {nodes}
+
+
+def test_gaussian_smooth_solve_never_sends_the_prox_more_than_the_half_axis(monkeypatch):
+    import splitavg.highdim as hd
+
+    sizes = []
+    real = hd.prox_array
+    monkeypatch.setattr(hd, "prox_array",
+                        lambda loss, c, z: sizes.append(z.size) or real(loss, c, z))
+    half = _eps_axis(NoiseDist.gaussian(1.0), QuadratureSpec())[0].size // 2
+    for nodes in range(16, 65):
+        solve_rc(LossSpec.pseudo_huber(3.0), NoiseDist.gaussian(10.0), 0.2, QuadratureSpec(nodes))
+    assert sizes and max(sizes) <= half
+
+
+@pytest.mark.parametrize("sigma2", [1.0, 10.0])
+@pytest.mark.parametrize("loss,kappa", [
+    *((loss, kappa) for loss in (LossSpec.pseudo_huber(0.5), LossSpec.pseudo_huber(3.0))
+      for kappa in (0.005, 0.05, 0.2, 0.5)),
+    # the logistic r(kappa) diverges as kappa -> 1/2, so no solution exists there
+    *((LossSpec.logistic(), kappa) for kappa in (0.005, 0.05, 0.2)),
+], ids=str)
+def test_one_normal_axis_solution_satisfies_the_two_axis_equations(loss, kappa, sigma2):
+    # the solve integrates eps + r eta ~ N(0, sigma^2 + r^2) on one axis; the
+    # unchanged compound grid of expect_xi (noise panels x 64 Gauss-Hermite
+    # nodes) is an independent rule for the same two equations.  Measured: at
+    # most 7.1e-15 and 7.5e-14 (the solve's own tol is 1e-13).
+    noise = NoiseDist.gaussian(sigma2)
+    sol = solve_rc(loss, noise, kappa, tol=1e-13)
+    e_dprox = expect_xi(lambda z: prox_array(loss, sol.c, z)[1], noise, sol.r)
+    e_gap = expect_xi(lambda z: (z - prox_array(loss, sol.c, z)[0]) ** 2, noise, sol.r)
+    assert abs(e_dprox - (1.0 - kappa)) <= 1e-13
+    assert abs(e_gap - kappa * sol.r_squared) <= 1e-13 * (1.0 + sol.r_squared)
 
 
 # (loss, noise, Gauss-Hermite nodes): float.hex of solve_rc(loss, noise, 0.2, q)'s
 # (c, r, residuals) (the squared loss's exact law, read from no quadrature), then
 # _smooth_residual_fn(loss, noise, q)(0.3, rho, 0.2)'s (f, J row by row) at rho = 0.25
-# and rho = 0; pseudo_huber is delta = 3.
+# and rho = 0; pseudo_huber is delta = 3.  Under gauss1 the residuals integrate one
+# normal axis whose panels are the same at 16 and 64 nodes, so those rows are equal.
 # Bitwise: a change of summation order or of the prox moves the last digit.
 FROZEN_SMOOTH_SOLVER_HEX = {
     ('squared', 'gauss1', 16): (
         '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x1.0000000000000p-57',
-        '-0x1.f81f81f81f840p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
-        '0x1.5d914db87485cp-2', '-0x1.2c88eff1753eap-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
+        '-0x1.f81f81f81f880p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.5d914db87485cp-2', '-0x1.2c88eff1753ebp-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('squared', 'gauss1', 64): (
         '0x1.0000000000000p-2', '0x1.0000000000000p-1', '0x0.0p+0', '0x1.0000000000000p-57',
-        '-0x1.f81f81f81f860p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51ap-1', '0x0.0p+0',
-        '0x1.5d914db87485ap-2', '-0x1.2c88eff1753ecp-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
+        '-0x1.f81f81f81f880p-6', '0x1.0f736d5e3859cp-6', '-0x1.2ef5657dba51cp-1', '0x0.0p+0',
+        '0x1.5d914db87485cp-2', '-0x1.2c88eff1753ebp-3', '-0x1.f81f81f81f880p-6', '0x1.b442a6a0916bap-5',
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d37cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('squared', 'laplace', 16): (
@@ -568,16 +621,16 @@ FROZEN_SMOOTH_SOLVER_HEX = {
         '-0x1.2ef5657dba51cp-1', '0x0.0p+0', '0x1.17a771605d36cp-2', '-0x1.2c88eff1753ebp-3',
     ),
     ('pseudo_huber', 'gauss1', 16): (
-        '0x1.1e3a640b36a61p-2', '0x1.00ab61fdfc8dcp-1', '0x0.0p+0', '0x1.0000000000000p-56',
-        '-0x1.89a8955e7e600p-7', '0x1.a3dde8c4e2020p-8', '-0x1.2809153e0c3c4p-1', '0x1.a62704853df6dp-7',
-        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c0590p-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
-        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e12dp-7', '0x1.00c64b69096fap-2', '-0x1.46030034e88b0p-3',
+        '0x1.1e3a640b36a5cp-2', '0x1.00ab61fdfc8d3p-1', '0x1.0000000000000p-53', '-0x1.0000000000000p-57',
+        '-0x1.89a8955e7e600p-7', '0x1.a3dde8c4e2080p-8', '-0x1.2809153e0c3c2p-1', '0x1.a62704853df7cp-7',
+        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c059ep-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
+        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e0b7p-7', '0x1.00c64b69096fap-2', '-0x1.46030034e881ep-3',
     ),
     ('pseudo_huber', 'gauss1', 64): (
-        '0x1.1e3a640b36a5dp-2', '0x1.00ab61fdfc8dap-1', '0x0.0p+0', '0x0.0p+0',
-        '-0x1.89a8955e7e680p-7', '0x1.a3dde8c4e2070p-8', '-0x1.2809153e0c3c1p-1', '0x1.a62704853df7ep-7',
-        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c059fp-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
-        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e12dp-7', '0x1.00c64b69096fap-2', '-0x1.46030034e88b0p-3',
+        '0x1.1e3a640b36a5cp-2', '0x1.00ab61fdfc8d3p-1', '0x1.0000000000000p-53', '-0x1.0000000000000p-57',
+        '-0x1.89a8955e7e600p-7', '0x1.a3dde8c4e2080p-8', '-0x1.2809153e0c3c2p-1', '0x1.a62704853df7cp-7',
+        '0x1.3a4e90d28fc12p-2', '-0x1.4aa39027c059ep-3', '-0x1.f63786df900c0p-7', '0x1.7cda1d29154c0p-5',
+        '-0x1.29d56487bbf2fp-1', '0x1.beb84bbc6e0b7p-7', '0x1.00c64b69096fap-2', '-0x1.46030034e881ep-3',
     ),
     ('pseudo_huber', 'laplace', 16): (
         '0x1.1b9ad8a4bda65p-2', '0x1.e84a18965591ep-2', '0x1.0668000000000p-40', '-0x1.c805400000000p-36',
@@ -592,16 +645,16 @@ FROZEN_SMOOTH_SOLVER_HEX = {
         '-0x1.2922738accb33p-1', '0x1.cf06623951d73p-7', '0x1.debb8d4eed042p-3', '-0x1.427c33be539dap-3',
     ),
     ('logistic', 'gauss1', 16): (
-        '0x1.7da5cbc8b919ep+0', '0x1.93aa2c054cbf1p+0', '0x1.0000000000000p-52', '0x1.0000000000000p-53',
-        '0x1.2476f79051e78p-3', '-0x1.a76462bdab370p-6', '-0x1.74318641cacf9p-3', '0x1.d2ebe08f07746p-8',
-        '0x1.373c88fe0fe68p-3', '-0x1.941f6ca40ebbep-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
-        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e43309ap-7', '0x1.2d6647530d4a9p-3', '-0x1.937a770508421p-3',
+        '0x1.7da5cbdda38d9p+0', '0x1.93aa2c19a4c3bp+0', '0x0.0p+0', '-0x1.0000000000000p-54',
+        '0x1.2476f79051e70p-3', '-0x1.a76462bdab355p-6', '-0x1.74318641cacf8p-3', '0x1.d2ebe08f07756p-8',
+        '0x1.373c88fe0fe70p-3', '-0x1.941f6ca40ebbbp-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
+        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e4330f6p-7', '0x1.2d6647530d4a9p-3', '-0x1.937a7705083d4p-3',
     ),
     ('logistic', 'gauss1', 64): (
-        '0x1.7da5cbdda38c7p+0', '0x1.93aa2c19a4c35p+0', '0x1.0000000000000p-53', '0x1.8000000000000p-53',
-        '0x1.2476f79051e70p-3', '-0x1.a76462bdab342p-6', '-0x1.74318641cacf3p-3', '0x1.d2ebe08f0773cp-8',
-        '0x1.373c88fe0fe77p-3', '-0x1.941f6ca40ebbcp-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
-        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e43309ap-7', '0x1.2d6647530d4a9p-3', '-0x1.937a770508421p-3',
+        '0x1.7da5cbdda38d9p+0', '0x1.93aa2c19a4c3bp+0', '0x0.0p+0', '-0x1.0000000000000p-54',
+        '0x1.2476f79051e70p-3', '-0x1.a76462bdab355p-6', '-0x1.74318641cacf8p-3', '0x1.d2ebe08f07756p-8',
+        '0x1.373c88fe0fe70p-3', '-0x1.941f6ca40ebbbp-3', '0x1.209e1e408fa98p-3', '0x1.803b0873f9bd6p-6',
+        '-0x1.7ede7d3991f5fp-3', '0x1.03ce22e4330f6p-7', '0x1.2d6647530d4a9p-3', '-0x1.937a7705083d4p-3',
     ),
     ('logistic', 'laplace', 16): (
         '0x1.79d5f9fcc457fp+0', '0x1.8e35d2ec6afbep+0', '-0x1.0000000000000p-52', '0x0.0p+0',
